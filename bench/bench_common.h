@@ -10,14 +10,12 @@
 //   CLOUDFOG_BENCH_FAST=1    shrink populations/windows ~4x (smoke runs)
 //   CLOUDFOG_BENCH_SEEDS=n   number of seeds averaged (default 3)
 //   CLOUDFOG_BENCH_JOBS=n    worker-pool width for sweeps (default: cores)
-//   CLOUDFOG_BENCH_SHARDS=k  run the scenario profiles on the space-
-//                            parallel engine with k shards (default: off,
-//                            the sequential engine)
+//   CLOUDFOG_BENCH_SHARDS=k  split the scenario profiles' streaming runs
+//                            into k shards (default 1)
 //
 // Command line (all default to off; see obs/bench_harness.h):
 //   --jobs=N              sweep worker-pool width; 1 = sequential code path
-//   --shards=K            sim_shards for the scenario profiles (force-
-//                         sharded even at K=1, the oracle configuration)
+//   --shards=K            sim_shards for the scenario profiles (default 1)
 //   --bench-json[=PATH]   machine-readable BENCH_<name>.json artifact
 //   --metrics-out=PATH    metrics dump (.json/.csv/.jsonl)
 //   --trace-out=PATH      Chrome trace_event JSON (open in Perfetto)
@@ -26,11 +24,9 @@
 // Output is bit-identical at any --jobs value: sweeps fan (config, seed)
 // runs across exec::RunExecutor, which hands results back in submission
 // order (see exec/run_executor.h and DESIGN.md §9). Output is likewise
-// bit-identical at any --shards value >= 1 — the sharded engine's digest
-// is invariant in the shard count (DESIGN.md §13); CI byte-diffs a
-// --shards=1 run against --shards=4 to hold that line. Only the step from
-// "unset" to "--shards=1" changes numbers (shared jitter stream vs
-// per-entity streams; see systems/scenario.h).
+// bit-identical at any --shards value — the streaming engine's digest is
+// invariant in the shard count (DESIGN.md §13); CI byte-diffs a
+// --shards=1 run against --shards=4 to hold that line.
 #pragma once
 
 #include <cstdlib>
@@ -82,9 +78,7 @@ inline std::size_t jobs() {
 }
 
 /// Resolved shard count for the scenario profiles: --shards beats
-/// CLOUDFOG_BENCH_SHARDS. 0 = unset — profiles keep sim_shards = 1 and the
-/// sequential engine runs, byte-identical to releases that predate the
-/// shard runtime.
+/// CLOUDFOG_BENCH_SHARDS. 0 = unset — profiles keep their sim_shards (1).
 inline std::size_t shards() {
   const std::size_t override_value = detail::shards_override();
   if (override_value != 0) return override_value;
@@ -109,13 +103,9 @@ inline std::size_t scaled(std::size_t full, std::size_t fast) {
 /// proportional edge/supernode/datacenter-uplink scaling.
 namespace detail {
 /// Applies the --shards / CLOUDFOG_BENCH_SHARDS override to a profile.
-/// Force-sharded even at one shard so `--shards=1` is the digest oracle a
-/// `--shards=K` run must byte-match.
 inline void apply_shards(systems::ScenarioParams& p) {
   const std::size_t k = shards();
-  if (k == 0) return;
-  p.sim_shards = k;
-  p.sim_force_sharded = true;
+  if (k != 0) p.sim_shards = k;
 }
 }  // namespace detail
 
@@ -188,10 +178,9 @@ inline int run_bench(int argc, const char* const* argv, const std::string& name,
                 << "  --jobs=N    sweep worker-pool width (default: "
                    "CLOUDFOG_BENCH_JOBS or hardware cores; output is "
                    "bit-identical at any width)\n"
-                << "  --shards=K  run the scenario profiles on the sharded "
-                   "engine with K shards (default: CLOUDFOG_BENCH_SHARDS or "
-                   "the sequential engine; output is bit-identical at any "
-                   "K >= 1)\n"
+                << "  --shards=K  split the scenario profiles' streaming runs "
+                   "into K shards (default: CLOUDFOG_BENCH_SHARDS or 1; "
+                   "output is bit-identical at any K)\n"
                 << obs::bench_flags_help();
       return 0;
     }

@@ -59,7 +59,6 @@ ScenarioParams scaled_params(std::size_t players, std::size_t shards) {
   p.num_edge_servers = std::max<std::size_t>(5, static_cast<std::size_t>(45.0 * f));
   p.dc_uplink_kbps *= f;
   p.sim_shards = shards;
-  p.sim_force_sharded = true;  // shards == 1 is the oracle, same engine
   return p;
 }
 

@@ -10,7 +10,7 @@ namespace cloudfog::core {
 RateAdaptationController::RateAdaptationController(
     const game::GameProfile& profile, RateAdaptationConfig config,
     int initial_level)
-    : profile_(profile), config_(config) {
+    : config_(config), latency_tolerance_(profile.latency_tolerance) {
   CF_CHECK_MSG(config.theta > 0.0 && config.theta <= 1.0,
                "theta must be in (0, 1] (Eq 11)");
   CF_CHECK_MSG(config.consecutive_estimates >= 1,
@@ -24,11 +24,11 @@ RateAdaptationController::RateAdaptationController(
 }
 
 double RateAdaptationController::up_threshold() const {
-  return (1.0 + game::adjust_up_beta()) / profile_.latency_tolerance;
+  return (1.0 + game::adjust_up_beta()) / latency_tolerance_;
 }
 
 double RateAdaptationController::down_threshold() const {
-  return config_.theta / profile_.latency_tolerance;
+  return config_.theta / latency_tolerance_;
 }
 
 RateAdaptationController::Decision RateAdaptationController::observe_rates(

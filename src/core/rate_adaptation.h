@@ -77,8 +77,8 @@ class RateAdaptationController {
   /// quality-ladder bounds invariant.
   Decision observe_impl(double buffered_segments);
 
-  game::GameProfile profile_;
   RateAdaptationConfig config_;
+  double latency_tolerance_;  // the game's rho (Eqs 9, 11)
   int level_;
   int max_level_;
   int up_count_ = 0;

@@ -57,8 +57,7 @@ void ShardCluster::run(TimeMs horizon, TimeMs lookahead) {
       for (InboxMessage& m : inbox_.drain(dst)) {
         // The conservative contract: nothing posted during a window may
         // land inside it. At the horizon the message is simply dropped —
-        // past-the-end events never execute in the sequential engine
-        // either.
+        // past-the-end events never execute in a single engine either.
         CF_CHECK_MSG(m.when >= bound,
                      "cross-shard message beat the lookahead window");
         if (final_round) continue;

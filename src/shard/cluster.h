@@ -10,8 +10,8 @@
 //     barrier round:  every shard runs its own engine to `bound`
 //                     (run_before — events exactly AT the bound belong to
 //                      the next window; the final round is run_until so
-//                      horizon-edge events fire, matching the sequential
-//                      engine)
+//                      horizon-edge events fire, exactly as in a
+//                      single-shard run)
 //     exchange:       drain the inboxes in canonical (when, src, seq)
 //                     order into the destination engines; every message
 //                     must land at or after `bound` (CF_CHECKed — the
@@ -46,7 +46,7 @@ namespace cloudfog::shard {
 
 /// The shard count a run can actually sustain: `requested`, unless the
 /// lookahead is non-positive (zero-lookahead degenerate case — nothing can
-/// be ahead of anything, so only the sequential engine is sound).
+/// be ahead of anything, so only a single shard is sound).
 std::size_t effective_shard_count(std::size_t requested, TimeMs lookahead);
 
 class ShardCluster {
@@ -65,8 +65,8 @@ class ShardCluster {
 
   /// Advances every shard to `horizon` in windows of `lookahead` ms
   /// (infinity = one window). Single-shot: one run per cluster. Messages
-  /// still in flight at the horizon are dropped — the sequential engine
-  /// equally never executes events past its run_until horizon.
+  /// still in flight at the horizon are dropped — a single engine equally
+  /// never executes events past its run_until horizon.
   void run(TimeMs horizon, TimeMs lookahead);
 
  private:

@@ -1,8 +1,63 @@
+// The streaming engine — DESIGN.md §13.
+//
+// One run, any number of cores, one digest: the world is split into K
+// geographic shards along supernode geography (shard/partition.h; K =
+// ScenarioParams::sim_shards, default 1), each shard owns a private slab
+// event engine plus private copies of every piece of mutable state its
+// entities touch (sender/buffer slabs, QoE collector, cache service,
+// topology latency memo), and a shard::ShardCluster advances all K in
+// conservative time windows whose lookahead is the minimum latency any
+// cross-shard message can carry. K = 1 is the ordinary run and the oracle
+// every K > 1 digest is pinned to.
+//
+// Sharding invariants:
+//   * A supernode and every player it serves live on the same shard, so
+//     the only cross-shard traffic is the cooperative cache protocol
+//     (probe + response between supernode pairs). With cooperation off
+//     there are no cross-shard edges at all, the lookahead is infinite and
+//     the run is embarrassingly parallel (a single window).
+//   * Every stochastic entity draws from its own RNG stream (player:
+//     jitter/p<pop>, packet sender: jitter/sn<node>), so its sample
+//     sequence is a function of its own event order only — the reason the
+//     digest is invariant in the shard count.
+//   * Shard 0 samples latencies on the Scenario's own topology; shards
+//     1..K-1 sample on private copies. All set-up reads of the scenario's
+//     topology finish before the cluster runs, so during the run shard 0
+//     is the only user of that memo.
+//   * All result reduction happens in a canonical order: per-player
+//     accumulators in global slot order, per-supernode byte ledgers in
+//     NodeId order, shard QoE maps merged per-player (each player lives in
+//     exactly one shard). Remaining caveat: two *different* entities
+//     colliding on an identical event timestamp could order differently
+//     across shard counts — phases are continuous uniforms, so ties are
+//     measure-zero.
+//
+// Supernode churn: scripted leave/join toggles.
+// Leave releases the node's cache (cancelling in-flight jobs) and fails
+// its players over to a per-player fluid queue at their home datacenter,
+// provisioned at setup with a static share of the DC uplink (base DC load
+// plus every at-risk player homed there); join re-registers an empty cache
+// and the players return. Churn is shard-local by the co-location
+// invariant. Under the packet-level scheduler kinds a leave additionally
+// drains the departed sender's queued backlog and streams each segment's
+// unsent remainder through the owning player's failover fluid queue (the
+// in-flight packet, if any, still completes on the old path).
 #include "systems/streaming_sim.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <map>
+#include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "cache/edge_cache_service.h"
 #include "core/rate_adaptation.h"
 #include "core/supernode_sender.h"
 #include "metrics/qoe.h"
@@ -10,6 +65,8 @@
 #include "obs/sim_hook.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
+#include "shard/cluster.h"
+#include "shard/partition.h"
 #include "sim/simulator.h"
 #include "stream/queued_sender.h"
 #include "stream/receiver_buffer.h"
@@ -23,103 +80,203 @@ namespace cloudfog::systems {
 namespace {
 
 /// Per-segment bookkeeping for packet-level (deadline-scheduled) delivery.
-/// Lives in a slab store; the segment's delivery_tag is its handle, so the
-/// sender hands every delivery and drop straight back to its tracker slot —
-/// no per-packet hash lookup.
+/// Lives in the owning shard's tracker slab; the slab handle travels with
+/// the segment as VideoSegment::delivery_tag, so every per-packet hook
+/// reaches this record (and through `slot`, the player) without a hash
+/// lookup.
 struct SegmentTracker {
-  std::size_t slot = 0;       // owning player's index in players_
   std::size_t pop_index = 0;
+  std::size_t slot = 0;  // global player slot (players_ index)
   TimeMs action_ms = 0.0;
-  int live_packets = 0;       // not yet delivered nor dropped
+  int live_packets = 0;
   TimeMs last_arrival = 0.0;
   bool delivered_any = false;
-  bool measured = false;      // t0 inside the measurement window
+  bool measured = false;
 };
 
-struct PlayerState {
+/// One streaming player. Kept lean — a run holds one per active player:
+/// the game profile is a pointer into the static catalog, and the rate
+/// adaptation state lives in StreamingEngine::adaptation_ (adaptive kinds
+/// only).
+struct ShardPlayer {
   std::size_t pop_index = 0;
   NodeId host = kInvalidNode;
-  game::GameProfile profile;
-  PlayerAssignment assignment;
   int level = 0;
-  Kbps wan_cap_kbps = 0.0;   // per-flow WAN throughput cap (0 = none)
-  double loss_prob = 0.0;    // per-packet network loss on the serving path
-  Kbit arrived_at_last_tick = 0.0;
-  std::optional<core::RateAdaptationController> controller;
-  stream::StoreHandle buffer = stream::kNullHandle;  // in buffer_store_
-  stream::StoreHandle packet_sender = stream::kNullHandle;  // in packet_store_
+  const game::GameProfile* profile = nullptr;
+  PlayerAssignment assignment;
+  Kbps wan_cap_kbps = 0.0;
+  double loss_prob = 0.0;
+  stream::StoreHandle buffer = stream::kNullHandle;
+  stream::StoreHandle queue = stream::kNullHandle;  // DC/edge private queue
+  // Churn fallback: per-player queue at the home DC, plus the loss of that
+  // path; provisioned at setup for at-risk players only.
+  stream::StoreHandle failover_queue = stream::kNullHandle;
+  double failover_loss_prob = 0.0;
+  bool failed_over = false;
+  /// Handle of this player's supernode packet sender in the owning shard's
+  /// packet_store (scheduling kinds only) — submit never hashes.
+  stream::StoreHandle packet_sender = stream::kNullHandle;
+  /// Private sample stream: every stochastic draw this player causes
+  /// (pipeline jitter, VBR size, fluid propagation) comes from here.
+  util::Rng rng{0};
+  std::size_t shard = 0;
+  // K-invariant accumulators, reduced in global slot order after the run.
+  Kbit cloud_kbit = 0.0;
+  double level_sum = 0.0;  // over the `segments` measured segments
+  std::uint64_t segments = 0;
 };
 
-/// The whole simulation state, wired together in run_streaming.
-class StreamingRun {
+/// Receiver-driven rate adaptation state of one player (Section III-B).
+struct PlayerAdaptation {
+  core::RateAdaptationController controller;
+  Kbit arrived_at_last_tick = 0.0;
+};
+
+/// Per-supernode byte ledger, filled in the node's own event order by the
+/// cache serve observer and reduced in NodeId order — the K-invariant
+/// replacement for the service's fleet-order byte accumulators.
+struct NodeLedger {
+  double edge_kbit = 0.0;
+  double cloud_kbit = 0.0;
+  double peer_kbit = 0.0;
+  double window_cloud_kbit = 0.0;  // cloud fetches inside the window
+};
+
+/// Everything one shard's entities may mutate at run time. No instance of
+/// anything below is ever touched by two shards: the window barrier is the
+/// only synchronisation the run needs.
+struct Shard {
+  /// `shared` is the scenario's topology; a shard that must not share its
+  /// latency memo (every shard but 0) samples on a private copy instead.
+  Shard(const net::Topology& shared, bool private_topology)
+      : topo(private_topology ? &own_topo.emplace(shared) : &shared) {}
+  Shard(const Shard&) = delete;  // `topo` may point into this object
+  Shard& operator=(const Shard&) = delete;
+
+  std::optional<net::Topology> own_topo;
+  const net::Topology* topo;
+  sim::Simulator* sim = nullptr;  // owned by the cluster
+  stream::FluidSenderStore fluid_store;
+  stream::ReceiverBufferStore buffer_store;
+  stream::SegmentFactory factory;
+  metrics::QoECollector qoe;
+  std::optional<cache::EdgeCacheService> cache;
+  // Keyed by node, setup/churn only — never touched per packet.
+  std::unordered_map<NodeId, stream::StoreHandle> sn_fluid;
+  std::unordered_map<NodeId, stream::StoreHandle> packet;
+  // Packet senders by value; completion events capture sender addresses,
+  // so the slab must not grow once the first event runs — every sender is
+  // created in setup_senders().
+  stream::SlabStore<core::SupernodeSender> packet_store;
+  // Per-segment trackers; handles travel as VideoSegment::delivery_tag.
+  // Grows freely (no tracker address ever escapes into a callback).
+  stream::SlabStore<SegmentTracker> tracker_store;
+  std::map<NodeId, NodeLedger> ledger;  // NodeId order: canonical reduce
+  std::uint64_t drops = 0;
+};
+
+struct SupernodeInfo {
+  NodeId server = kInvalidNode;
+  int slots = 1;
+  Kbps uplink_kbps = 0.0;
+  std::size_t shard = 0;
+  std::vector<std::size_t> player_slots;  // global slots, ascending
+  bool initially_absent = false;
+  std::vector<SupernodeChurnEvent> churn;  // sorted, alternation-checked
+};
+
+/// One entry of a supernode's cooperative-probe rank order: the m nearest
+/// other supernodes by (expected one-way latency, NodeId).
+struct CoopNeighbor {
+  NodeId id = kInvalidNode;
+  std::size_t shard = 0;
+  TimeMs latency_ms = 0.0;
+};
+
+/// One in-flight cooperative lookup. Written by the requester's shard;
+/// peers only read `segment` (published before the probes are posted, so
+/// the window barrier orders the accesses).
+struct ProbeRound {
+  enum class Resp : std::uint8_t { kPending, kHit, kMiss };
+  std::size_t shard = 0;  // requester's shard
+  NodeId requester = kInvalidNode;
+  stream::VideoSegment segment;
+  cache::EdgeCacheService::DeliverFn deliver;
+  std::vector<Resp> responses;  // by neighbor rank
+  bool resolved = false;
+};
+
+class StreamingEngine {
  public:
-  StreamingRun(SystemKind kind, const Scenario& scenario,
-               const StreamingOptions& options)
+  StreamingEngine(SystemKind kind, const Scenario& scenario,
+                  const StreamingOptions& options)
       : kind_(kind), scenario_(scenario), options_(options) {}
 
   StreamingResult run();
 
  private:
   void setup_players();
-  void setup_cache();
+  void setup_supernode_infos();
+  void setup_partition();
+  void setup_coop();
+  void build_shards();
+  void setup_cache_services();
   void setup_senders();
+  void setup_failover();
+  void setup_churn();
   void start_segment_ticks();
+
   void on_action(std::size_t slot);
   void enqueue_segment(std::size_t slot, TimeMs t0);
   void submit_fluid(std::size_t slot, const stream::VideoSegment& seg);
   void submit_packet(std::size_t slot, stream::VideoSegment seg);
-  void on_packet_delivery(const core::PacketDelivery& d);
+  void on_packet_delivery(std::size_t s, const core::PacketDelivery& d);
   void adaptation_tick(std::size_t slot);
+  void apply_churn(NodeId server, bool leave);
+  void fail_over_segment(Shard& sh,
+                         const core::DeadlineScheduler::PendingSegment& pending);
+  void start_probe_round(std::size_t s, NodeId node,
+                         const stream::VideoSegment& seg, Kbit kbit,
+                         cache::EdgeCacheService::DeliverFn deliver);
+  void on_probe_response(const std::shared_ptr<ProbeRound>& round,
+                         std::size_t rank, bool hit);
+  /// Same-shard "messages" stay plain engine events (the exchange rejects
+  /// src == dst); cross-shard ones go through the inbox.
+  void post_or_local(std::size_t src, std::size_t dst, TimeMs when,
+                     std::function<void()> fn);
+
   bool in_window(TimeMs t0) const {
     return t0 >= options_.warmup_ms &&
            t0 < options_.warmup_ms + options_.duration_ms;
   }
+  StreamingResult assemble();
 
   SystemKind kind_;
   const Scenario& scenario_;
   StreamingOptions options_;
 
-  sim::Simulator sim_;
-  // Declared after sim_ (destroyed first): pending cache events may still
-  // reference the service when the run tears down.
-  std::optional<cache::EdgeCacheService> cache_;
-  util::Rng jitter_rng_{0};
-  stream::SegmentFactory factory_;
-  metrics::QoECollector qoe_;
-  std::vector<PlayerState> players_;
+  // Declared before shards_ (destroyed after them): per-shard caches and
+  // senders reference the cluster's simulators and must tear down first.
+  std::optional<shard::ShardCluster> cluster_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Datacenters and edge servers serve flows in parallel: each player gets
-  // a private queue at rate min(fair share, WAN cap). Supernodes follow the
-  // paper's single-queuing-buffer model: one shared queue per supernode
-  // (fluid FIFO for CloudFog/B and -adapt, packet-level deadline sender for
-  // -schedule and /A). Senders and receive buffers live in slab stores
-  // (stream/stream_store.h) — one per-player heap object each was the
-  // dominant allocator traffic at 100k+ players.
-  stream::FluidSenderStore fluid_store_;
-  stream::ReceiverBufferStore buffer_store_;
-  std::vector<stream::StoreHandle> per_player_queue_;
-  std::unordered_map<NodeId, stream::StoreHandle> sn_fluid_;
-  // Packet senders and segment trackers are slab-stored too: a segment's
-  // delivery_tag is its tracker handle and each player caches its sender
-  // handle, so the per-packet hot path (pop, deliver, drop) runs without a
-  // single hash lookup. Every sender is created in setup_senders(), before
-  // any event runs — in-flight completion events capture the sender's
-  // address, so the slab must never grow (move values) after that.
-  stream::SlabStore<core::SupernodeSender> packet_store_;
-  stream::SlabStore<SegmentTracker> tracker_store_;
-
-  // Measurement accumulators.
-  Kbit cloud_kbit_ = 0.0;
-  std::uint64_t segments_ = 0;
-  std::uint64_t drops_ = 0;
+  util::Rng jitter_base_{0};  // parent of every per-entity stream
+  std::vector<ShardPlayer> players_;
+  std::vector<PlayerAdaptation> adaptation_;  // by slot; adaptive kinds only
+  std::map<NodeId, SupernodeInfo> sn_infos_;  // NodeId order everywhere
+  std::map<NodeId, std::vector<CoopNeighbor>> coop_;
+  std::vector<shard::PartitionSite> sites_;  // parallel to sn_infos_ order
+  shard::Partition partition_;
+  TimeMs lookahead_ = std::numeric_limits<double>::infinity();
+  std::size_t shard_count_ = 1;
   std::size_t active_supernodes_ = 0;
-  util::RunningStats level_mean_;
 };
 
-void StreamingRun::setup_players() {
+void StreamingEngine::setup_players() {
   util::Rng rng = scenario_.fork_rng("streaming");
-  jitter_rng_ = rng.fork("jitter" + std::to_string(options_.seed_salt));
-  util::Rng select_rng = rng.fork("select" + std::to_string(options_.seed_salt));
+  const std::string salt = std::to_string(options_.seed_salt);
+  jitter_base_ = rng.fork("jitter" + salt);
+  util::Rng select_rng = rng.fork("select" + salt);
 
   std::vector<std::size_t> active;
   if (!options_.explicit_players.empty()) {
@@ -134,28 +291,165 @@ void StreamingRun::setup_players() {
     active.assign(sample.begin(), sample.end());
   }
 
-  util::Rng assign_rng = rng.fork("assign" + std::to_string(options_.seed_salt));
+  util::Rng assign_rng = rng.fork("assign" + salt);
   AssignmentPlan plan = assign_players(kind_, scenario_, active, assign_rng);
   active_supernodes_ = plan.active_supernodes.size();
 
+  const ScenarioParams& params = scenario_.params();
   players_.reserve(plan.players.size());
   for (const PlayerAssignment& pa : plan.players) {
-    PlayerState ps;
+    ShardPlayer ps;
     ps.pop_index = pa.pop_index;
     ps.host = scenario_.player_host(pa.pop_index);
-    ps.profile = game::game_by_id(scenario_.player_game(pa.pop_index));
+    ps.profile = &game::game_by_id(scenario_.player_game(pa.pop_index));
     ps.assignment = pa;
-    ps.level = ps.profile.target_quality_level;
-    if (uses_adaptation(kind_)) {
-      ps.controller.emplace(ps.profile, options_.cloudfog.adaptation);
-      ps.buffer =
-          buffer_store_.create(game::quality_for_level(ps.level).bitrate_kbps);
+    ps.level = ps.profile->target_quality_level;
+    ps.rng = jitter_base_.fork("p" + std::to_string(pa.pop_index));
+    ps.loss_prob = scenario_.topology().server_loss_probability(
+        pa.server, ps.host);
+    if (params.tcp_window_kbit > 0.0) {
+      const TimeMs rtt = std::max(
+          1.0, scenario_.topology().expected_server_rtt_ms(pa.server, ps.host));
+      ps.wan_cap_kbps = params.tcp_window_kbit / (rtt / 1000.0);
     }
     players_.push_back(std::move(ps));
   }
 }
 
-void StreamingRun::setup_cache() {
+void StreamingEngine::setup_supernode_infos() {
+  for (std::size_t slot = 0; slot < players_.size(); ++slot) {
+    const ShardPlayer& ps = players_[slot];
+    if (ps.assignment.type != ServerType::kSupernode) continue;
+    const NodeId server = ps.assignment.server;
+    auto it = sn_infos_.find(server);
+    if (it == sn_infos_.end()) {
+      SupernodeInfo info;
+      info.server = server;
+      info.uplink_kbps = scenario_.params().supernode_kbps_per_slot;
+      for (std::size_t sn : scenario_.supernode_players()) {
+        if (scenario_.player_host(sn) == server) {
+          info.uplink_kbps = scenario_.supernode_uplink_kbps(sn);
+          info.slots = scenario_.supernode_capacity(sn);
+          break;
+        }
+      }
+      it = sn_infos_.emplace(server, std::move(info)).first;
+    }
+    it->second.player_slots.push_back(slot);
+  }
+
+  for (const SupernodeChurnEvent& ev : options_.supernode_churn) {
+    CF_CHECK_MSG(scenario_.is_supernode_player(ev.pop_index),
+                 "churn event names a non-supernode player");
+    const NodeId server = scenario_.player_host(ev.pop_index);
+    const auto it = sn_infos_.find(server);
+    // A supernode that serves nobody under this run's assignment plan has
+    // no state to toggle; its events are inert (the caller cannot know the
+    // plan up front, so scripting churn over all supernodes must be legal).
+    if (it == sn_infos_.end()) continue;
+    it->second.churn.push_back(ev);
+  }
+  for (auto& [server, info] : sn_infos_) {
+    if (info.churn.empty()) continue;
+    std::sort(info.churn.begin(), info.churn.end(),
+              [](const SupernodeChurnEvent& a, const SupernodeChurnEvent& b) {
+                return a.when_ms < b.when_ms;
+              });
+    for (std::size_t i = 1; i < info.churn.size(); ++i) {
+      CF_CHECK_MSG(info.churn[i].when_ms > info.churn[i - 1].when_ms,
+                   "churn events for one supernode must be strictly ordered");
+      CF_CHECK_MSG(info.churn[i].leave != info.churn[i - 1].leave,
+                   "churn events for one supernode must alternate");
+    }
+    info.initially_absent = !info.churn.front().leave;
+  }
+}
+
+void StreamingEngine::setup_partition() {
+  for (const auto& [server, info] : sn_infos_) {
+    sites_.push_back({server, scenario_.topology().host(server).position,
+                      static_cast<double>(info.player_slots.size())});
+  }
+  const std::size_t want =
+      std::max<std::size_t>(1, scenario_.params().sim_shards);
+  partition_ = shard::partition_sites(sites_, want);
+  std::size_t site = 0;
+  for (auto& [server, info] : sn_infos_) {
+    info.shard = partition_.site_shard[site];
+    ++site;
+  }
+  if (partition_.shard_count > 1) {
+    const shard::AnchorIndex anchors(sites_, partition_);
+    for (ShardPlayer& ps : players_) {
+      if (ps.assignment.type == ServerType::kSupernode) {
+        ps.shard = sn_infos_.at(ps.assignment.server).shard;
+      } else {
+        ps.shard =
+            anchors.shard_of(scenario_.topology().host(ps.host).position);
+      }
+    }
+  }
+}
+
+void StreamingEngine::setup_coop() {
+  const ScenarioParams& params = scenario_.params();
+  if (params.use_segment_cache && params.cache_coop_neighbors > 0) {
+    for (const auto& [a, info_a] : sn_infos_) {
+      std::vector<std::pair<TimeMs, NodeId>> ranked;
+      ranked.reserve(sn_infos_.size() - 1);
+      for (const auto& [b, info_b] : sn_infos_) {
+        if (b == a) continue;
+        ranked.emplace_back(
+            scenario_.topology().expected_server_one_way_ms(a, b), b);
+      }
+      std::sort(ranked.begin(), ranked.end());
+      const std::size_t m =
+          std::min(params.cache_coop_neighbors, ranked.size());
+      std::vector<CoopNeighbor>& list = coop_[a];
+      list.reserve(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        list.push_back({ranked[i].second, sn_infos_.at(ranked[i].second).shard,
+                        ranked[i].first});
+      }
+    }
+  }
+
+  // Lookahead: the minimum latency any cross-shard message can carry. The
+  // only cross-shard edges are coop probes/responses, each at least the
+  // pair's expected one-way latency after its sending event; with no edges
+  // the lookahead is infinite (a single window). Derived from the actual
+  // edge set, not net::LatencyModel::min_route_ms() — the pair bias is
+  // multiplicative and may undercut that closed-form floor.
+  for (const auto& [a, list] : coop_) {
+    const std::size_t sa = sn_infos_.at(a).shard;
+    for (const CoopNeighbor& nb : list) {
+      if (nb.shard != sa) lookahead_ = std::min(lookahead_, nb.latency_ms);
+    }
+  }
+  shard_count_ =
+      shard::effective_shard_count(partition_.shard_count, lookahead_);
+  if (shard_count_ < partition_.shard_count) {
+    // Zero-lookahead degenerate case: collapse to one shard (no windows,
+    // no cross-shard edges). Unreachable with the current latency model
+    // (expected one-way latencies are strictly positive) but kept sound.
+    for (ShardPlayer& ps : players_) ps.shard = 0;
+    for (auto& [server, info] : sn_infos_) info.shard = 0;
+    for (auto& [a, list] : coop_)
+      for (CoopNeighbor& nb : list) nb.shard = 0;
+    lookahead_ = std::numeric_limits<double>::infinity();
+  }
+}
+
+void StreamingEngine::build_shards() {
+  cluster_.emplace(shard_count_, options_.shard_workers);
+  shards_.reserve(shard_count_);
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    shards_.push_back(std::make_unique<Shard>(scenario_.topology(), s > 0));
+    shards_[s]->sim = &cluster_->sim(s);
+  }
+}
+
+void StreamingEngine::setup_cache_services() {
   const ScenarioParams& params = scenario_.params();
   if (!params.use_segment_cache) return;
   cache::EdgeCacheServiceConfig cfg;
@@ -166,257 +460,322 @@ void StreamingRun::setup_cache() {
   cfg.admission.fetch_kbps = params.cache_fetch_kbps;
   cfg.admission.fetch_base_ms = params.cache_fetch_base_ms;
   cfg.admission.egress_cost_ms_per_kbit = params.cache_egress_cost_ms_per_kbit;
-  cache_.emplace(sim_, cfg);
-  // Cloud-egress attribution: every variant fetched inside the measurement
-  // window crosses the cloud's uplink, like datacenter-served segments.
-  cache_->set_serve_observer(
-      [this](NodeId, const stream::VideoSegment& seg,
-             const cache::EdgeCacheService::ServeOutcome& outcome) {
-        if (outcome.source == cache::ServeSource::kCloudFetch &&
-            in_window(seg.action_time_ms)) {
-          cloud_kbit_ += outcome.content_kbit;
-        }
-      });
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    Shard& sh = *shards_[s];
+    sh.cache.emplace(*sh.sim, cfg);
+    sh.cache->set_serve_observer(
+        [this, s](NodeId node, const stream::VideoSegment& seg,
+                  const cache::EdgeCacheService::ServeOutcome& outcome) {
+          NodeLedger& led = shards_[s]->ledger[node];
+          switch (outcome.source) {
+            case cache::ServeSource::kCacheHit:
+            case cache::ServeSource::kTranscode:
+              led.edge_kbit += outcome.content_kbit;
+              break;
+            case cache::ServeSource::kCloudFetch:
+              led.cloud_kbit += outcome.content_kbit;
+              if (in_window(seg.action_time_ms))
+                led.window_cloud_kbit += outcome.content_kbit;
+              break;
+            case cache::ServeSource::kPeerHit:
+              led.peer_kbit += outcome.content_kbit;
+              break;
+            case cache::ServeSource::kPeerProbe:
+              break;  // bytes accounted at resolution (peer hit or fallback)
+          }
+        });
+    if (!coop_.empty()) {
+      sh.cache->set_fetch_interceptor(
+          [this, s](NodeId node, const stream::VideoSegment& seg, Kbit kbit,
+                    cache::EdgeCacheService::DeliverFn deliver) {
+            const auto it = coop_.find(node);
+            if (it == coop_.end() || it->second.empty()) return false;
+            start_probe_round(s, node, seg, kbit, std::move(deliver));
+            return true;
+          });
+    }
+  }
+  for (const auto& [server, info] : sn_infos_) {
+    if (info.initially_absent) continue;
+    shards_[info.shard]->cache->add_supernode(server, info.slots);
+  }
 }
 
-void StreamingRun::setup_senders() {
+void StreamingEngine::setup_senders() {
   const ScenarioParams& params = scenario_.params();
-  // Count players per shared server for fair-share computation.
   std::unordered_map<NodeId, std::size_t> load;
-  for (const PlayerState& ps : players_) ++load[ps.assignment.server];
+  for (const ShardPlayer& ps : players_) ++load[ps.assignment.server];
 
-  // Setup-only index: which packet-sender slab handle serves each shared
-  // supernode. Players cache their handle; the map dies with this scope.
-  std::unordered_map<NodeId, stream::StoreHandle> packet_by_server;
-  per_player_queue_.resize(players_.size());
+  if (uses_adaptation(kind_)) adaptation_.reserve(players_.size());
   for (std::size_t slot = 0; slot < players_.size(); ++slot) {
-    PlayerState& ps = players_[slot];
-    ps.loss_prob = scenario_.topology().server_loss_probability(
-        ps.assignment.server, ps.host);
-    // WAN throughput cap over the serving path.
-    if (params.tcp_window_kbit > 0.0) {
-      const TimeMs rtt = std::max(
-          1.0, scenario_.topology().expected_server_rtt_ms(ps.assignment.server,
-                                                           ps.host));
-      ps.wan_cap_kbps = params.tcp_window_kbit / (rtt / 1000.0);
+    ShardPlayer& ps = players_[slot];
+    Shard& sh = *shards_[ps.shard];
+    if (uses_adaptation(kind_)) {
+      adaptation_.push_back(
+          {core::RateAdaptationController(*ps.profile,
+                                          options_.cloudfog.adaptation)});
+      ps.buffer =
+          sh.buffer_store.create(game::quality_for_level(ps.level).bitrate_kbps);
     }
-    const NodeId server = ps.assignment.server;
-    switch (ps.assignment.type) {
-      case ServerType::kDatacenter:
-      case ServerType::kEdge: {
-        const Kbps uplink = ps.assignment.type == ServerType::kDatacenter
-                                ? params.dc_uplink_kbps
-                                : params.edge_uplink_kbps;
-        Kbps share = uplink / static_cast<double>(load.at(server));
-        if (ps.wan_cap_kbps > 0.0) share = std::min(share, ps.wan_cap_kbps);
-        per_player_queue_[slot] = fluid_store_.create(share);
-        break;
-      }
-      case ServerType::kSupernode: {
-        // Identify the supernode's population index for its uplink size.
-        // assignment guarantees the server host belongs to a selected SN.
-        Kbps uplink = params.supernode_kbps_per_slot;
-        int slots = 1;
-        for (std::size_t sn : scenario_.supernode_players()) {
-          if (scenario_.player_host(sn) == server) {
-            uplink = scenario_.supernode_uplink_kbps(sn);
-            slots = scenario_.supernode_capacity(sn);
-            break;
-          }
-        }
-        if (cache_ && !cache_->has_supernode(server)) {
-          cache_->add_supernode(server, slots);
-        }
-        if (uses_scheduling(kind_)) {
-          auto handle_it = packet_by_server.find(server);
-          if (handle_it == packet_by_server.end()) {
-            const stream::StoreHandle h = packet_store_.create(
-                sim_, uplink, core::SupernodeSender::Discipline::kDeadline,
-                options_.cloudfog.scheduler,
-                core::SupernodeSender::PropagationFn(
-                    [this, server](NodeId player, util::Rng& rng) {
-                      return scenario_.topology().sample_server_one_way_ms(
-                          server, player, rng);
-                    }),
-                core::SupernodeSender::DeliveryFn(
-                    [this](const core::PacketDelivery& d) {
-                      on_packet_delivery(d);
-                    }),
-                jitter_rng_.fork("sn" + std::to_string(server)));
-            core::SupernodeSender& sender = packet_store_.get(h);
-            // The delivery_tag is the segment's tracker handle: the hooks
-            // reach their player state through the tracker slot directly.
-            sender.set_rate_cap([this](NodeId, std::uint64_t tag) {
-              return players_[tracker_store_.get(tag).slot].wan_cap_kbps;
-            });
-            sender.set_loss_model([this](NodeId, std::uint64_t tag) {
-              return players_[tracker_store_.get(tag).slot].loss_prob;
-            });
-            sender.set_drop_observer(
-                [this](const stream::VideoSegment& seg, int) {
-                  if (!tracker_store_.contains(seg.delivery_tag)) return;
-                  SegmentTracker& t = tracker_store_.get(seg.delivery_tag);
-                  --t.live_packets;
-                  if (t.measured) ++drops_;
-                  // Dropped packets count against continuity; units were
-                  // added at submit time, so nothing to add here.
-                  if (t.live_packets <= 0) {
-                    if (t.delivered_any && t.measured) {
-                      qoe_.add_latency(static_cast<NodeId>(t.pop_index),
-                                       t.last_arrival - t.action_ms);
-                    }
-                    tracker_store_.destroy(seg.delivery_tag);
-                  }
-                });
-            if (cache_) sender.attach_segment_cache(&*cache_, server);
-            handle_it = packet_by_server.emplace(server, h).first;
-          }
-          ps.packet_sender = handle_it->second;
-        } else {
-          if (!sn_fluid_.contains(server))
-            sn_fluid_.emplace(server, fluid_store_.create(uplink));
-        }
-        break;
-      }
+    if (ps.assignment.type == ServerType::kSupernode) continue;
+    const Kbps uplink = ps.assignment.type == ServerType::kDatacenter
+                            ? params.dc_uplink_kbps
+                            : params.edge_uplink_kbps;
+    Kbps share = uplink / static_cast<double>(load.at(ps.assignment.server));
+    if (ps.wan_cap_kbps > 0.0) share = std::min(share, ps.wan_cap_kbps);
+    ps.queue = sh.fluid_store.create(share);
+  }
+
+  for (const auto& [server, info] : sn_infos_) {
+    const std::size_t s = info.shard;
+    Shard& sh = *shards_[s];
+    if (uses_scheduling(kind_)) {
+      const stream::StoreHandle handle = sh.packet_store.create(
+          *sh.sim, info.uplink_kbps,
+          core::SupernodeSender::Discipline::kDeadline,
+          options_.cloudfog.scheduler,
+          core::SupernodeSender::PropagationFn(
+              [this, server, s](NodeId player, util::Rng& rng) {
+                return shards_[s]->topo->sample_server_one_way_ms(
+                    server, player, rng);
+              }),
+          core::SupernodeSender::DeliveryFn(
+              [this, s](const core::PacketDelivery& d) {
+                on_packet_delivery(s, d);
+              }),
+          jitter_base_.fork("sn" + std::to_string(server)));
+      core::SupernodeSender& sender = sh.packet_store.get(handle);
+      // The delivery tag is the tracker slab handle: every per-packet hook
+      // reaches its player's state with two array indexes, never a hash.
+      sender.set_rate_cap([this, s](NodeId, std::uint64_t tag) {
+        return players_[shards_[s]->tracker_store.get(tag).slot].wan_cap_kbps;
+      });
+      sender.set_loss_model([this, s](NodeId, std::uint64_t tag) {
+        return players_[shards_[s]->tracker_store.get(tag).slot].loss_prob;
+      });
+      sender.set_drop_observer(
+          [this, s](const stream::VideoSegment& seg, int) {
+            Shard& owner = *shards_[s];
+            if (!owner.tracker_store.contains(seg.delivery_tag)) return;
+            SegmentTracker& t = owner.tracker_store.get(seg.delivery_tag);
+            --t.live_packets;
+            if (t.measured) ++owner.drops;
+            if (t.live_packets <= 0) {
+              if (t.delivered_any && t.measured) {
+                owner.qoe.add_latency(static_cast<NodeId>(t.pop_index),
+                                      t.last_arrival - t.action_ms);
+              }
+              owner.tracker_store.destroy(seg.delivery_tag);
+            }
+          });
+      if (sh.cache) sender.attach_segment_cache(&*sh.cache, server);
+      sh.packet.emplace(server, handle);
+      for (std::size_t slot : info.player_slots)
+        players_[slot].packet_sender = handle;
+    } else {
+      sh.sn_fluid.emplace(server, sh.fluid_store.create(info.uplink_kbps));
     }
   }
 }
 
-void StreamingRun::start_segment_ticks() {
+void StreamingEngine::setup_failover() {
+  const ScenarioParams& params = scenario_.params();
+  std::unordered_map<NodeId, std::size_t> dc_base;
+  std::unordered_map<NodeId, std::size_t> at_risk;
+  for (const ShardPlayer& ps : players_) {
+    if (ps.assignment.type == ServerType::kDatacenter)
+      ++dc_base[ps.assignment.server];
+  }
+  for (const auto& [server, info] : sn_infos_) {
+    if (info.churn.empty()) continue;
+    for (std::size_t slot : info.player_slots)
+      ++at_risk[players_[slot].assignment.home_dc];
+  }
+  for (const auto& [server, info] : sn_infos_) {
+    if (info.churn.empty()) continue;
+    for (std::size_t slot : info.player_slots) {
+      ShardPlayer& ps = players_[slot];
+      Shard& sh = *shards_[ps.shard];
+      const NodeId dc = ps.assignment.home_dc;
+      ps.failover_loss_prob =
+          scenario_.topology().server_loss_probability(dc, ps.host);
+      // Static provisioning: the DC splits its uplink across its baseline
+      // load plus every player that could fail over to it, so the share is
+      // a setup-time constant (a dynamic share would couple all at-risk
+      // players' state across shards).
+      Kbps share = params.dc_uplink_kbps /
+                   static_cast<double>(dc_base[dc] + at_risk[dc]);
+      if (params.tcp_window_kbit > 0.0) {
+        const TimeMs rtt = std::max(
+            1.0, scenario_.topology().expected_server_rtt_ms(dc, ps.host));
+        share = std::min(share, params.tcp_window_kbit / (rtt / 1000.0));
+      }
+      ps.failover_queue = sh.fluid_store.create(share);
+      if (info.initially_absent) ps.failed_over = true;
+    }
+  }
+}
+
+void StreamingEngine::setup_churn() {
+  for (const auto& [server, info] : sn_infos_) {
+    for (const SupernodeChurnEvent& ev : info.churn) {
+      shards_[info.shard]->sim->schedule_at(
+          ev.when_ms, [this, srv = info.server, leave = ev.leave] {
+            apply_churn(srv, leave);
+          });
+    }
+  }
+}
+
+void StreamingEngine::start_segment_ticks() {
   const TimeMs period = scenario_.params().segment_period_ms();
   for (std::size_t slot = 0; slot < players_.size(); ++slot) {
-    const TimeMs phase = jitter_rng_.uniform(0.0, period);
-    sim_.schedule_every(phase, period, [this, slot] { on_action(slot); });
+    ShardPlayer& ps = players_[slot];
+    Shard& sh = *shards_[ps.shard];
+    const TimeMs phase = ps.rng.uniform(0.0, period);
+    sh.sim->schedule_every(phase, period, [this, slot] { on_action(slot); });
     if (uses_adaptation(kind_)) {
-      // Prime the receive buffer with one segment of video so the first
-      // estimates are meaningful, then start the estimation cadence.
-      PlayerState& ps = players_[slot];
-      const Kbit tau = game::quality_for_level(ps.level).bitrate_kbps * period / 1000.0;
-      buffer_store_.get(ps.buffer).on_arrival(0.0, tau);
-      const TimeMs tick_phase = jitter_rng_.uniform(0.0, options_.adaptation_tick_ms);
-      sim_.schedule_every(tick_phase, options_.adaptation_tick_ms,
-                          [this, slot] { adaptation_tick(slot); });
+      const Kbit tau =
+          game::quality_for_level(ps.level).bitrate_kbps * period / 1000.0;
+      sh.buffer_store.get(ps.buffer).on_arrival(0.0, tau);
+      const TimeMs tick_phase =
+          ps.rng.uniform(0.0, options_.adaptation_tick_ms);
+      sh.sim->schedule_every(tick_phase, options_.adaptation_tick_ms,
+                             [this, slot] { adaptation_tick(slot); });
     }
   }
 }
 
-void StreamingRun::on_action(std::size_t slot) {
-  const TimeMs t0 = sim_.now();
-  // Stop generating segments once the measurement window plus drain is over.
+void StreamingEngine::on_action(std::size_t slot) {
+  ShardPlayer& ps = players_[slot];
+  Shard& sh = *shards_[ps.shard];
+  const TimeMs t0 = sh.sim->now();
   if (t0 >= options_.warmup_ms + options_.duration_ms) return;
 
-  PlayerState& ps = players_[slot];
-  const net::Topology& topo = scenario_.topology();
   const ScenarioParams& params = scenario_.params();
-
-  // Action uplink target: the state server.
   TimeMs pipeline = 0.0;
-  if (ps.assignment.type == ServerType::kEdge) {
-    pipeline += topo.sample_one_way_ms(ps.host, ps.assignment.server, jitter_rng_);
+  if (ps.failed_over) {
+    // Fallback pipeline: the home DC computes and renders; no update feed.
+    pipeline +=
+        sh.topo->sample_one_way_ms(ps.host, ps.assignment.home_dc, ps.rng);
+    pipeline += params.compute_ms + params.render_ms;
   } else {
-    pipeline += topo.sample_one_way_ms(ps.host, ps.assignment.home_dc, jitter_rng_);
+    if (ps.assignment.type == ServerType::kEdge) {
+      pipeline += sh.topo->sample_one_way_ms(ps.host, ps.assignment.server,
+                                            ps.rng);
+    } else {
+      pipeline += sh.topo->sample_one_way_ms(ps.host, ps.assignment.home_dc,
+                                            ps.rng);
+    }
+    pipeline += params.compute_ms;
+    if (ps.assignment.type == ServerType::kSupernode) {
+      pipeline += sh.topo->sample_server_one_way_ms(
+          ps.assignment.server, ps.assignment.home_dc, ps.rng);
+    }
+    pipeline += params.render_ms;
   }
-  pipeline += params.compute_ms;
-  if (ps.assignment.type == ServerType::kSupernode) {
-    // Update feed: datacenter egress to the supernode's wired interface
-    // (both endpoints server-grade, no residential access delay).
-    pipeline += topo.sample_server_one_way_ms(ps.assignment.server,
-                                              ps.assignment.home_dc, jitter_rng_);
-  }
-  pipeline += params.render_ms;
-  sim_.schedule_after(pipeline, [this, slot, t0] { enqueue_segment(slot, t0); });
+  sh.sim->schedule_after(pipeline,
+                         [this, slot, t0] { enqueue_segment(slot, t0); });
 }
 
-void StreamingRun::enqueue_segment(std::size_t slot, TimeMs t0) {
-  PlayerState& ps = players_[slot];
+void StreamingEngine::enqueue_segment(std::size_t slot, TimeMs t0) {
+  ShardPlayer& ps = players_[slot];
+  Shard& sh = *shards_[ps.shard];
   const TimeMs period = scenario_.params().segment_period_ms();
   stream::VideoSegment seg =
-      factory_.make(ps.host, ps.profile.id, ps.level, period, t0);
-  // VBR: per-segment size variation (I- vs P-frame mix), mean-preserving.
+      sh.factory.make(ps.host, ps.profile->id, ps.level, period, t0);
   const double sigma = scenario_.params().segment_size_sigma;
   if (sigma > 0.0) {
-    seg.size_kbit *= jitter_rng_.lognormal(-0.5 * sigma * sigma, sigma);
+    seg.size_kbit *= ps.rng.lognormal(-0.5 * sigma * sigma, sigma);
   }
   if (in_window(t0)) {
-    ++segments_;
-    level_mean_.add(static_cast<double>(ps.level));
-    if (ps.assignment.type == ServerType::kDatacenter) {
-      cloud_kbit_ += seg.size_kbit;
+    ++ps.segments;
+    ps.level_sum += static_cast<double>(ps.level);
+    if (ps.assignment.type == ServerType::kDatacenter || ps.failed_over) {
+      ps.cloud_kbit += seg.size_kbit;
     }
   }
-  if (ps.assignment.type == ServerType::kSupernode && uses_scheduling(kind_)) {
-    submit_packet(slot, seg);  // the packet sender routes through the cache
-  } else if (ps.assignment.type == ServerType::kSupernode && cache_) {
-    // Fluid supernode senders have no cache hook: source the content here,
-    // then enqueue once it is locally available.
-    cache_->request(ps.assignment.server, seg,
-                    [this, slot, seg] { submit_fluid(slot, seg); });
+  if (ps.failed_over) {
+    submit_fluid(slot, seg);  // streams from the home DC, cache bypassed
+  } else if (ps.assignment.type == ServerType::kSupernode &&
+             uses_scheduling(kind_)) {
+    submit_packet(slot, seg);
+  } else if (ps.assignment.type == ServerType::kSupernode && sh.cache) {
+    sh.cache->request(ps.assignment.server, seg,
+                      [this, slot, seg] { submit_fluid(slot, seg); });
   } else {
     submit_fluid(slot, seg);
   }
 }
 
-void StreamingRun::submit_fluid(std::size_t slot, const stream::VideoSegment& seg) {
-  PlayerState& ps = players_[slot];
-  const bool shared_queue = ps.assignment.type == ServerType::kSupernode;
-  stream::QueuedSender& sender = fluid_store_.get(
-      shared_queue ? sn_fluid_.at(ps.assignment.server) : per_player_queue_[slot]);
-  // Per-player queues already serialize at min(share, WAN cap). The shared
-  // supernode queue serializes at the supernode uplink; a slower WAN hop to
-  // this particular player then stretches the *delivery*, not the queue —
-  // other players' segments are not blocked behind the bottleneck.
-  stream::SendSchedule sched = sender.enqueue(sim_.now(), seg.size_kbit);
+void StreamingEngine::submit_fluid(std::size_t slot,
+                                   const stream::VideoSegment& seg) {
+  ShardPlayer& ps = players_[slot];
+  Shard& sh = *shards_[ps.shard];
+  const bool failed = ps.failed_over;
+  const bool shared_queue =
+      !failed && ps.assignment.type == ServerType::kSupernode;
+  const stream::StoreHandle handle =
+      failed ? ps.failover_queue
+             : (shared_queue ? sh.sn_fluid.at(ps.assignment.server)
+                             : ps.queue);
+  stream::QueuedSender& sender = sh.fluid_store.get(handle);
+  stream::SendSchedule sched = sender.enqueue(sh.sim->now(), seg.size_kbit);
   if (shared_queue && ps.wan_cap_kbps > 0.0 &&
       ps.wan_cap_kbps < sender.capacity()) {
     sched.end = sched.start + transmission_ms(seg.size_kbit, ps.wan_cap_kbps);
   }
-  const TimeMs prop = scenario_.topology().sample_server_one_way_ms(
-      ps.assignment.server, ps.host, jitter_rng_);
+  const NodeId origin = failed ? ps.assignment.home_dc : ps.assignment.server;
+  const double loss = failed ? ps.failover_loss_prob : ps.loss_prob;
+  const TimeMs prop =
+      sh.topo->sample_server_one_way_ms(origin, ps.host, ps.rng);
   const TimeMs last_arrival = sched.end + prop;
   if (in_window(seg.action_time_ms)) {
     const NodeId key = static_cast<NodeId>(ps.pop_index);
-    qoe_.add_latency(key, last_arrival - seg.action_time_ms);
-    // Fluid loss model: each bit survives the path with prob (1 - p).
-    const Kbit on_time = sched.sent_by(seg.deadline_ms - prop, seg.size_kbit) *
-                         (1.0 - ps.loss_prob);
-    qoe_.add_units(key, seg.size_kbit, on_time);
+    sh.qoe.add_latency(key, last_arrival - seg.action_time_ms);
+    const Kbit on_time =
+        sched.sent_by(seg.deadline_ms - prop, seg.size_kbit) * (1.0 - loss);
+    sh.qoe.add_units(key, seg.size_kbit, on_time);
   }
   if (ps.buffer != stream::kNullHandle) {
     const Kbit size = seg.size_kbit;
-    sim_.schedule_at(last_arrival, [this, slot, size] {
-      buffer_store_.get(players_[slot].buffer).on_arrival(sim_.now(), size);
+    sh.sim->schedule_at(last_arrival, [this, slot, size] {
+      ShardPlayer& p = players_[slot];
+      Shard& owner = *shards_[p.shard];
+      owner.buffer_store.get(p.buffer).on_arrival(owner.sim->now(), size);
     });
   }
 }
 
-void StreamingRun::submit_packet(std::size_t slot, stream::VideoSegment seg) {
-  PlayerState& ps = players_[slot];
-  // One slab slot per in-flight segment; the handle rides in the segment's
-  // delivery_tag and comes back on every delivery/drop/hook call.
-  const stream::StoreHandle tag = tracker_store_.create();
-  SegmentTracker& tracker = tracker_store_.get(tag);
-  tracker.slot = slot;
+void StreamingEngine::submit_packet(std::size_t slot,
+                                    stream::VideoSegment seg) {
+  ShardPlayer& ps = players_[slot];
+  Shard& sh = *shards_[ps.shard];
+  const stream::StoreHandle tag = sh.tracker_store.create();
+  SegmentTracker& tracker = sh.tracker_store.get(tag);
   tracker.pop_index = ps.pop_index;
+  tracker.slot = slot;
   tracker.action_ms = seg.action_time_ms;
   tracker.live_packets = stream::packet_count(seg.size_kbit);
   tracker.measured = in_window(seg.action_time_ms);
   if (tracker.measured) {
-    // Continuity denominator: every packet of the segment.
-    qoe_.player(static_cast<NodeId>(ps.pop_index)).units_total +=
+    sh.qoe.player(static_cast<NodeId>(ps.pop_index)).units_total +=
         static_cast<double>(tracker.live_packets);
   }
   seg.delivery_tag = tag;
-  // submit() can drop packets of this segment synchronously (Eq 14), which
-  // may destroy the tracker — don't touch `tracker` past this point.
-  packet_store_.get(ps.packet_sender).submit(seg);
+  // submit() may fire the drop observer, which can destroy trackers (this
+  // one included) — don't touch `tracker` past this point.
+  sh.packet_store.get(ps.packet_sender).submit(seg);
 }
 
-void StreamingRun::on_packet_delivery(const core::PacketDelivery& d) {
-  if (!tracker_store_.contains(d.delivery_tag)) return;
-  SegmentTracker& tracker = tracker_store_.get(d.delivery_tag);
+void StreamingEngine::on_packet_delivery(std::size_t s,
+                                         const core::PacketDelivery& d) {
+  Shard& sh = *shards_[s];
+  if (!sh.tracker_store.contains(d.delivery_tag)) return;
+  SegmentTracker& tracker = sh.tracker_store.get(d.delivery_tag);
   const auto key = static_cast<NodeId>(tracker.pop_index);
   if (tracker.measured && d.on_time()) {
-    qoe_.player(key).units_on_time += 1.0;
+    sh.qoe.player(key).units_on_time += 1.0;
   }
   if (!d.lost) {
     tracker.delivered_any = true;
@@ -425,108 +784,262 @@ void StreamingRun::on_packet_delivery(const core::PacketDelivery& d) {
   --tracker.live_packets;
   const std::size_t slot = tracker.slot;
   if (tracker.live_packets <= 0) {
-    // Only segments with at least one real delivery yield a latency sample
-    // (a fully lost/dropped segment has no arrival to measure — it already
-    // counts fully against continuity).
     if (tracker.measured && tracker.delivered_any) {
-      qoe_.add_latency(key, tracker.last_arrival - tracker.action_ms);
+      sh.qoe.add_latency(key, tracker.last_arrival - tracker.action_ms);
     }
-    tracker_store_.destroy(d.delivery_tag);
+    sh.tracker_store.destroy(d.delivery_tag);
   }
-  // Feed the receive buffer for adaptation (deliveries are in sent order;
-  // arrival jitter may reorder slightly, so the buffer event is scheduled).
   if (players_[slot].buffer != stream::kNullHandle && !d.lost) {
     const Kbit size = d.size_kbit;
-    const TimeMs when = std::max(d.arrival_ms, sim_.now());
-    sim_.schedule_at(when, [this, slot, size] {
-      buffer_store_.get(players_[slot].buffer).on_arrival(sim_.now(), size);
+    const TimeMs when = std::max(d.arrival_ms, sh.sim->now());
+    sh.sim->schedule_at(when, [this, slot, size] {
+      ShardPlayer& p = players_[slot];
+      Shard& owner = *shards_[p.shard];
+      owner.buffer_store.get(p.buffer).on_arrival(owner.sim->now(), size);
     });
   }
 }
 
-void StreamingRun::adaptation_tick(std::size_t slot) {
-  PlayerState& ps = players_[slot];
-  stream::ReceiverBuffer& buffer = buffer_store_.get(ps.buffer);
+void StreamingEngine::adaptation_tick(std::size_t slot) {
+  ShardPlayer& ps = players_[slot];
+  Shard& sh = *shards_[ps.shard];
+  stream::ReceiverBuffer& buffer = sh.buffer_store.get(ps.buffer);
   const TimeMs period = scenario_.params().segment_period_ms();
   const Kbps playback = game::quality_for_level(ps.level).bitrate_kbps;
   const Kbit tau = playback * period / 1000.0;
-  // Windowed download rate d(t_k): data received since the last tick.
   const Kbit arrived = buffer.total_arrived_kbit();
-  const Kbps download = (arrived - ps.arrived_at_last_tick) /
+  PlayerAdaptation& adapt = adaptation_[slot];
+  const Kbps download = (arrived - adapt.arrived_at_last_tick) /
                         options_.adaptation_tick_ms * 1000.0;
-  ps.arrived_at_last_tick = arrived;
-  const auto decision = ps.controller->observe_rates(
+  adapt.arrived_at_last_tick = arrived;
+  const auto decision = adapt.controller.observe_rates(
       options_.adaptation_tick_ms, download, playback, tau);
   if (decision != core::RateAdaptationController::Decision::kHold) {
-    ps.level = ps.controller->level();
-    buffer.set_playback_rate(sim_.now(),
+    ps.level = adapt.controller.level();
+    buffer.set_playback_rate(sh.sim->now(),
                              game::quality_for_level(ps.level).bitrate_kbps);
   }
 }
 
-StreamingResult StreamingRun::run() {
-  CF_TIMED_SCOPE("timers.systems.run_streaming");
-  {
-    CF_TIMED_SCOPE("timers.systems.setup");
-    setup_players();
-    setup_cache();
-    setup_senders();
-    start_segment_ticks();
+void StreamingEngine::apply_churn(NodeId server, bool leave) {
+  const SupernodeInfo& info = sn_infos_.at(server);
+  Shard& sh = *shards_[info.shard];
+  if (leave) {
+    if (sh.cache && sh.cache->has_supernode(server)) {
+      sh.cache->remove_supernode(server);
+    }
+    for (std::size_t slot : info.player_slots)
+      players_[slot].failed_over = true;
+    if (uses_scheduling(kind_)) {
+      // The departing sender abandons its queued backlog; each segment's
+      // unsent remainder streams from the owning player's home DC through
+      // the failover fluid queue. The in-flight packet (if any) still
+      // completes on the old path and settles its tracker normally.
+      core::SupernodeSender& sender =
+          sh.packet_store.get(sh.packet.at(server));
+      for (const core::DeadlineScheduler::PendingSegment& pending :
+           sender.drain_pending()) {
+        fail_over_segment(sh, pending);
+      }
+    }
+  } else {
+    if (sh.cache && !sh.cache->has_supernode(server)) {
+      sh.cache->add_supernode(server, info.slots);
+    }
+    for (std::size_t slot : info.player_slots)
+      players_[slot].failed_over = false;
   }
-  // Periodic queue-depth/throughput sampling for the trace and metrics —
-  // a pure observer (see obs/sim_hook.h), so it may be installed only when
-  // collection is on without perturbing the QoE digest.
-  if (obs::registry() != nullptr || obs::tracer() != nullptr) {
-    obs::trace_sim_instant("streaming.start", "systems", sim_.now());
-    obs::install_sim_sampler(sim_, options_.adaptation_tick_ms);
-  }
-  {
-    CF_TIMED_SCOPE("timers.systems.event_loop");
-    sim_.run_until(options_.warmup_ms + options_.duration_ms + options_.drain_ms);
-  }
-  obs::trace_sim_instant("streaming.end", "systems", sim_.now());
-  CF_OBS_COUNT("systems.streaming.runs", 1);
-  CF_OBS_COUNT("systems.streaming.segments_generated", segments_);
+}
 
-  // Still-live trackers (segments in flight at the horizon) simply stay in
-  // the slab until it is destroyed with the run: their undelivered packets
-  // remain counted in units_total (missed), and completed-latency samples
-  // are skipped.
+void StreamingEngine::fail_over_segment(
+    Shard& sh, const core::DeadlineScheduler::PendingSegment& pending) {
+  const stream::VideoSegment& seg = pending.segment;
+  if (!sh.tracker_store.contains(seg.delivery_tag)) return;
+  SegmentTracker& tracker = sh.tracker_store.get(seg.delivery_tag);
+  ShardPlayer& ps = players_[tracker.slot];
+  stream::QueuedSender& fluid = sh.fluid_store.get(ps.failover_queue);
+  const stream::SendSchedule sched =
+      fluid.enqueue(sh.sim->now(), pending.remaining_kbit);
+  const TimeMs prop =
+      sh.topo->sample_server_one_way_ms(ps.assignment.home_dc, ps.host, ps.rng);
+  const TimeMs last_arrival = sched.end + prop;
+  if (in_window(seg.action_time_ms)) ps.cloud_kbit += pending.remaining_kbit;
+  if (tracker.measured && pending.remaining_kbit > 0.0) {
+    // Fluid on-time fraction scaled to packet units and discounted by the
+    // fallback path's loss — the fluid analogue of per-packet on_time().
+    const Kbit on_time_kbit =
+        sched.sent_by(seg.deadline_ms - prop, pending.remaining_kbit);
+    sh.qoe.player(static_cast<NodeId>(tracker.pop_index)).units_on_time +=
+        on_time_kbit / pending.remaining_kbit *
+        static_cast<double>(pending.remaining_packets) *
+        (1.0 - ps.failover_loss_prob);
+  }
+  tracker.delivered_any = true;
+  tracker.last_arrival = std::max(tracker.last_arrival, last_arrival);
+  tracker.live_packets -= pending.remaining_packets;
+  if (ps.buffer != stream::kNullHandle) {
+    const Kbit size = pending.remaining_kbit;
+    const std::size_t slot = tracker.slot;
+    sh.sim->schedule_at(last_arrival, [this, slot, size] {
+      ShardPlayer& p = players_[slot];
+      Shard& owner = *shards_[p.shard];
+      owner.buffer_store.get(p.buffer).on_arrival(owner.sim->now(), size);
+    });
+  }
+  if (tracker.live_packets <= 0) {
+    if (tracker.measured && tracker.delivered_any) {
+      sh.qoe.add_latency(static_cast<NodeId>(tracker.pop_index),
+                         tracker.last_arrival - tracker.action_ms);
+    }
+    sh.tracker_store.destroy(seg.delivery_tag);
+  }
+}
+
+void StreamingEngine::start_probe_round(
+    std::size_t s, NodeId node, const stream::VideoSegment& seg, Kbit kbit,
+    cache::EdgeCacheService::DeliverFn deliver) {
+  const std::vector<CoopNeighbor>& neighbors = coop_.at(node);
+  auto round = std::make_shared<ProbeRound>();
+  round->shard = s;
+  round->requester = node;
+  round->segment = seg;
+  round->deliver = std::move(deliver);
+  round->responses.assign(neighbors.size(), ProbeRound::Resp::kPending);
+  const TimeMs t0 = shards_[s]->sim->now();
+  const Kbps coop_kbps = scenario_.params().cache_coop_kbps;
+  for (std::size_t rank = 0; rank < neighbors.size(); ++rank) {
+    const CoopNeighbor nb = neighbors[rank];
+    post_or_local(s, nb.shard, t0 + nb.latency_ms,
+                  [this, round, rank, nb, kbit, coop_kbps] {
+                    Shard& peer = *shards_[nb.shard];
+                    const bool hit =
+                        peer.cache && peer.cache->probe_hit(nb.id, round->segment);
+                    TimeMs back = peer.sim->now() + nb.latency_ms;
+                    if (hit && coop_kbps > 0.0)
+                      back += transmission_ms(kbit, coop_kbps);
+                    post_or_local(nb.shard, round->shard, back,
+                                  [this, round, rank, hit] {
+                                    on_probe_response(round, rank, hit);
+                                  });
+                  });
+  }
+}
+
+void StreamingEngine::on_probe_response(
+    const std::shared_ptr<ProbeRound>& round, std::size_t rank, bool hit) {
+  round->responses[rank] = hit ? ProbeRound::Resp::kHit : ProbeRound::Resp::kMiss;
+  if (round->resolved) return;
+  Shard& sh = *shards_[round->shard];
+  // Rank-canonical resolution: the winner is the lowest-rank peer that
+  // hit, declared only once every lower rank has answered — K-invariant
+  // because it depends on the rank order, never on response arrival order.
+  for (const ProbeRound::Resp resp : round->responses) {
+    if (resp == ProbeRound::Resp::kPending) return;
+    if (resp == ProbeRound::Resp::kHit) {
+      round->resolved = true;
+      sh.cache->complete_peer_fetch(round->requester, round->segment,
+                                    std::move(round->deliver));
+      return;
+    }
+  }
+  round->resolved = true;
+  sh.cache->cloud_fetch_fallback(round->requester, round->segment,
+                                 std::move(round->deliver));
+}
+
+void StreamingEngine::post_or_local(std::size_t src, std::size_t dst,
+                                    TimeMs when, std::function<void()> fn) {
+  if (src == dst) {
+    shards_[src]->sim->schedule_at(when, std::move(fn));
+  } else {
+    cluster_->post(src, dst, when, std::move(fn));
+  }
+}
+
+StreamingResult StreamingEngine::assemble() {
+  // Trackers for segments still in flight at the horizon stay in their
+  // shard's slab; the stores die with the shards.
+
+  // Each player lives in exactly one shard, so the merged collector is a
+  // disjoint union; the map key order makes every aggregate canonical.
+  metrics::QoECollector merged;
+  for (const auto& sh : shards_) {
+    for (const auto& [id, q] : sh->qoe.all()) merged.player(id) = q;
+  }
+  std::map<NodeId, NodeLedger> ledger;
+  for (const auto& sh : shards_) {
+    for (const auto& [node, led] : sh->ledger) ledger[node] = led;
+  }
+
+  Kbit cloud_kbit = 0.0;
+  double level_sum = 0.0;
+  std::uint64_t segments = 0;
+  for (const ShardPlayer& ps : players_) {
+    cloud_kbit += ps.cloud_kbit;
+    level_sum += ps.level_sum;
+    segments += ps.segments;
+  }
+  for (const auto& [node, led] : ledger) cloud_kbit += led.window_cloud_kbit;
+  std::uint64_t drops = 0;
+  for (const auto& sh : shards_) drops += sh->drops;
 
   StreamingResult result;
-  result.mean_response_latency_ms = qoe_.mean_response_latency_ms();
+  result.mean_response_latency_ms = merged.mean_response_latency_ms();
   util::SampleSet per_player;
-  for (const auto& [id, q] : qoe_.all()) {
+  for (const auto& [id, q] : merged.all()) {
     if (q.response_latency_ms.count() > 0)
       per_player.add(q.response_latency_ms.mean());
   }
   result.p95_response_latency_ms =
       per_player.empty() ? 0.0 : per_player.percentile(95.0);
-  result.mean_continuity = qoe_.mean_continuity();
-  result.satisfied_fraction = qoe_.satisfied_fraction();
+  result.mean_continuity = merged.mean_continuity();
+  result.satisfied_fraction = merged.satisfied_fraction();
+  // Update-feed cost stays nominal (the assignment plan's active set):
+  // churned supernodes keep their slot in the plan.
   const Kbps update_feed = scenario_.params().update_stream_kbps *
                            static_cast<double>(active_supernodes_);
   result.cloud_uplink_mbps =
-      (cloud_kbit_ / (options_.duration_ms / 1000.0) + update_feed) / 1000.0;
-  result.mean_quality_level = level_mean_.mean();
-  result.segments_generated = segments_;
-  result.packets_dropped = drops_;
+      (cloud_kbit / (options_.duration_ms / 1000.0) + update_feed) / 1000.0;
+  result.mean_quality_level =
+      segments > 0 ? level_sum / static_cast<double>(segments) : 0.0;
+  result.segments_generated = segments;
+  result.packets_dropped = drops;
   std::size_t sn_served = 0, edge_served = 0;
-  for (const PlayerState& ps : players_) {
+  for (const ShardPlayer& ps : players_) {
     if (ps.assignment.type == ServerType::kSupernode) ++sn_served;
     if (ps.assignment.type == ServerType::kEdge) ++edge_served;
   }
   result.supernode_supported = sn_served;
   result.edge_supported = edge_served;
-  if (cache_) result.cache = cache_->totals();
 
-  // Per-game QoE breakdown.
+  if (scenario_.params().use_segment_cache) {
+    cache::CacheTotals totals;
+    for (const auto& sh : shards_) {
+      const cache::CacheTotals& t = sh->cache->totals();
+      totals.hits += t.hits;
+      totals.misses += t.misses;
+      totals.transcodes += t.transcodes;
+      totals.evictions += t.evictions;
+      totals.cancelled_jobs += t.cancelled_jobs;
+      totals.coop_probes += t.coop_probes;
+      totals.coop_hits += t.coop_hits;
+    }
+    // Byte totals from the NodeId-ordered ledgers, not the services' own
+    // fleet-order accumulators — canonical summation order.
+    for (const auto& [node, led] : ledger) {
+      totals.bytes_edge_kbit += led.edge_kbit;
+      totals.bytes_cloud_kbit += led.cloud_kbit;
+      totals.bytes_peer_kbit += led.peer_kbit;
+    }
+    result.cache = totals;
+  }
+
   std::array<double, 5> continuity_sum{};
   std::array<std::size_t, 5> satisfied_count{};
-  for (const PlayerState& ps : players_) {
-    const auto g = static_cast<std::size_t>(ps.profile.id);
+  for (const ShardPlayer& ps : players_) {
+    const auto g = static_cast<std::size_t>(ps.profile->id);
     const metrics::PlayerQoE& q =
-        qoe_.player(static_cast<NodeId>(ps.pop_index));
+        merged.player(static_cast<NodeId>(ps.pop_index));
     ++result.players_by_game[g];
     continuity_sum[g] += q.continuity();
     if (q.satisfied()) ++satisfied_count[g];
@@ -539,7 +1052,43 @@ StreamingResult StreamingRun::run() {
           static_cast<double>(satisfied_count[g]) / n;
     }
   }
+  CF_OBS_COUNT("systems.streaming.segments_generated", segments);
   return result;
+}
+
+StreamingResult StreamingEngine::run() {
+  CF_TIMED_SCOPE("timers.systems.run_streaming");
+  {
+    CF_TIMED_SCOPE("timers.systems.setup");
+    setup_players();
+    setup_supernode_infos();
+    setup_partition();
+    setup_coop();
+    build_shards();
+    setup_cache_services();
+    setup_senders();
+    setup_failover();
+    setup_churn();
+    start_segment_ticks();
+  }
+  // Periodic queue-depth/throughput sampling for the trace and metrics —
+  // a pure observer (see obs/sim_hook.h), so it may be installed only when
+  // collection is on without perturbing the QoE digest.
+  if (obs::registry() != nullptr || obs::tracer() != nullptr) {
+    obs::trace_sim_instant("streaming.start", "systems", 0.0);
+    for (const auto& sh : shards_) {
+      obs::install_sim_sampler(*sh->sim, options_.adaptation_tick_ms);
+    }
+  }
+  const TimeMs horizon =
+      options_.warmup_ms + options_.duration_ms + options_.drain_ms;
+  {
+    CF_TIMED_SCOPE("timers.systems.event_loop");
+    cluster_->run(horizon, lookahead_);
+  }
+  obs::trace_sim_instant("streaming.end", "systems", horizon);
+  CF_OBS_COUNT("systems.streaming.runs", 1);
+  return assemble();
 }
 
 }  // namespace
@@ -548,15 +1097,8 @@ StreamingResult run_streaming(SystemKind kind, const Scenario& scenario,
                               const StreamingOptions& options) {
   CF_CHECK_MSG(options.num_players >= 1, "need at least one player");
   CF_CHECK_MSG(options.duration_ms > 0.0, "measurement window must be positive");
-  const ScenarioParams& params = scenario.params();
-  if (params.sim_shards > 1 || params.sim_force_sharded) {
-    return run_streaming_sharded(kind, scenario, options);
-  }
-  CF_CHECK_MSG(options.supernode_churn.empty(),
-               "supernode churn requires the sharded engine "
-               "(sim_shards > 1 or sim_force_sharded)");
-  StreamingRun run(kind, scenario, options);
-  return run.run();
+  StreamingEngine engine(kind, scenario, options);
+  return engine.run();
 }
 
 std::vector<StreamingResult> run_streaming_batch(

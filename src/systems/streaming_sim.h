@@ -36,13 +36,12 @@
 
 namespace cloudfog::systems {
 
-/// One scripted supernode membership toggle (sharded engine only): at
-/// `when_ms` the supernode hosted by player `pop_index` leaves (its
-/// players fail over to a provisioned queue at their home datacenter and
-/// its cache is released, cancelling in-flight jobs) or (re)joins (cache
-/// re-registered empty, players return). Events for one supernode must
-/// alternate; a supernode whose first event is a join starts the run
-/// absent.
+/// One scripted supernode membership toggle: at `when_ms` the supernode
+/// hosted by player `pop_index` leaves (its players fail over to a
+/// provisioned queue at their home datacenter and its cache is released,
+/// cancelling in-flight jobs) or (re)joins (cache re-registered empty,
+/// players return). Events for one supernode must alternate; a supernode
+/// whose first event is a join starts the run absent.
 struct SupernodeChurnEvent {
   TimeMs when_ms = 0.0;
   std::size_t pop_index = 0;
@@ -61,12 +60,13 @@ struct StreamingOptions {
   core::CloudFogConfig cloudfog = core::CloudFogConfig::defaults();
   std::uint64_t seed_salt = 0;     // distinguishes repeated runs
 
-  // --- sharded engine only (ScenarioParams::sim_shards, DESIGN.md §13) ----
-  /// Dynamic supernode join/leave script. Under the packet-level deadline
-  /// scheduler a leave drains the departed sender's queued backlog and
-  /// streams each remainder through the player's failover fluid queue.
+  /// Dynamic supernode join/leave script (DESIGN.md §13). Under the
+  /// packet-level deadline scheduler a leave drains the departed sender's
+  /// queued backlog and streams each remainder through the player's
+  /// failover fluid queue.
   std::vector<SupernodeChurnEvent> supernode_churn;
-  /// Worker threads driving the shard rounds; 0 = exec::default_jobs().
+  /// Worker threads driving the shard rounds (ScenarioParams::sim_shards);
+  /// 0 = exec::default_jobs(), capped at the shard count.
   std::size_t shard_workers = 0;
 };
 
@@ -94,21 +94,13 @@ struct StreamingResult {
   cache::CacheTotals cache;
 };
 
-/// Runs one streaming simulation of `kind` over the scenario. Dispatches
-/// to the sharded engine when ScenarioParams::sim_shards > 1 (or
-/// sim_force_sharded is set); otherwise runs the sequential engine.
+/// Runs one streaming simulation of `kind` over the scenario. The world is
+/// partitioned into ScenarioParams::sim_shards geographic shards (src/shard),
+/// each with its own slab event engine, advanced under conservative time
+/// windows; the QoE digest is invariant in the shard count and the worker
+/// count (tests/integration pins K > 1 against the K = 1 oracle).
 StreamingResult run_streaming(SystemKind kind, const Scenario& scenario,
                               const StreamingOptions& options);
-
-/// The space-parallel engine (src/shard): partitions the world into
-/// geographic shards, runs one slab event engine per shard under
-/// conservative time windows, and produces a QoE digest that is invariant
-/// in the shard count and the worker count (tests/integration pins this
-/// against the single-shard oracle). Called via run_streaming's dispatch;
-/// exposed for tests that want a specific engine regardless of params.
-StreamingResult run_streaming_sharded(SystemKind kind,
-                                      const Scenario& scenario,
-                                      const StreamingOptions& options);
 
 /// One self-contained streaming run for the parallel batch entry point:
 /// the scenario is specified by parameters, not by reference, so every run

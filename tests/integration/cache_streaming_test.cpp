@@ -153,6 +153,17 @@ TEST(CacheStreamingTest, FluidPathAlsoRoutesThroughTheCache) {
       << "fluid supernode path bypassed the cache";
 }
 
+TEST(CacheStreamingTest, CoopLookupsRunAtDefaultShardCount) {
+  // Cooperative lookups need no shard opt-in: with the default shard count
+  // a local miss probes the nearest peer supernodes before the cloud.
+  ScenarioParams p = cache_params(1'000.0);
+  p.cache_coop_neighbors = 3;
+  const Scenario scenario = Scenario::build(p);
+  const auto r =
+      run_streaming(SystemKind::kCloudFogAdapt, scenario, quick_options());
+  EXPECT_GT(r.cache.coop_probes, 0u);
+}
+
 TEST(CacheStreamingTest, CacheOffReportsZeroCacheActivity) {
   ScenarioParams p = cache_params(1'000.0);
   p.use_segment_cache = false;

@@ -1,5 +1,5 @@
-// The sharded engine's central promise: one run, many cores, one digest.
-// The single-shard sharded run (sim_force_sharded, K = 1) is the oracle;
+// The streaming engine's central promise: one run, many cores, one digest.
+// The single-shard run (sim_shards = 1, the default) is the oracle;
 // every multi-shard and multi-worker digest must be bit-identical to it —
 // per seed, per system kind, with the cache/coop subsystem on, and under
 // supernode churn. EXPECT_EQ on doubles is deliberate: the contract is
@@ -23,7 +23,6 @@ ScenarioParams small_params(std::uint64_t seed, std::size_t shards) {
   // strain as the full-size experiments).
   p.dc_uplink_kbps = 1'250'000.0 * 500.0 / 10'000.0;
   p.sim_shards = shards;
-  p.sim_force_sharded = true;  // K = 1 is the oracle, same engine
   return p;
 }
 
@@ -177,14 +176,17 @@ TEST(ShardedStreaming, ChurnFailsPlayersOverToTheCloud) {
   EXPECT_EQ(with_churn.segments_generated, without.segments_generated);
 }
 
-TEST(ShardedStreaming, ChurnRequiresShardedEngine) {
-  ScenarioParams p = small_params(1, 1);
-  p.sim_force_sharded = false;  // sequential dispatch path
-  const Scenario scenario = Scenario::build(p);
-  StreamingOptions o = fast_options();
-  o.supernode_churn.push_back({900.0, scenario.supernode_players().front(), true});
-  EXPECT_THROW(run_streaming(SystemKind::kCloudFogB, scenario, o),
-               std::logic_error);
+TEST(ShardedStreaming, ChurnRunsAtDefaultShardCount) {
+  // Churn needs no opt-in: at the default shard count (1) a churn script
+  // fails players over to their home DC, raising cloud egress over the
+  // same run without churn.
+  const Scenario scenario = Scenario::build(small_params(1, 1));
+  const StreamingResult with_churn =
+      run_streaming(SystemKind::kCloudFogB, scenario, churn_options(scenario));
+  const StreamingResult without =
+      run_streaming(SystemKind::kCloudFogB, scenario, fast_options());
+  EXPECT_GT(with_churn.cloud_uplink_mbps, without.cloud_uplink_mbps);
+  EXPECT_EQ(with_churn.segments_generated, without.segments_generated);
 }
 
 TEST(ShardedStreaming, ChurnWithSchedulingDigestInvariant) {

@@ -130,8 +130,8 @@ TEST(ShardCluster, MessageBeatingTheLookaheadIsRejected) {
 }
 
 TEST(ShardCluster, MessagesInFlightAtHorizonAreDropped) {
-  // The sequential engine never executes events past its horizon; a
-  // message whose arrival lands beyond (or at) the horizon is dropped.
+  // A single engine never executes events past its horizon; a message
+  // whose arrival lands beyond (or at) the horizon is dropped.
   ShardCluster cluster(2, 1);
   bool ran = false;
   cluster.sim(0).schedule_at(38.0, [&] {
