@@ -3,6 +3,8 @@
 // that must hold for *every* input, not just the examples unit tests pick.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <map>
 
 #include "core/deadline_scheduler.h"
@@ -20,12 +22,16 @@ namespace {
 // ---------------------------------------------------------------------------
 // SupernodeSender conservation: submitted == delivered + dropped + lost,
 // across discipline x loss x overload combinations.
+// GTest names each case by the raw bytes of this struct; name_tag fills
+// what would be padding, so the names stay the same from build to build.
 struct SenderCase {
   std::uint64_t seed;
   bool deadline_discipline;
+  std::array<std::uint8_t, 7> name_tag;
   double loss_rate;
   Kbps uplink;
 };
+static_assert(sizeof(SenderCase) == 32, "no padding in a case name");
 
 class SenderConservation : public ::testing::TestWithParam<SenderCase> {};
 
@@ -71,15 +77,16 @@ TEST_P(SenderConservation, EveryPacketIsAccounted) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SenderConservation,
-    ::testing::Values(SenderCase{1, false, 0.0, 20'000.0},
-                      SenderCase{2, true, 0.0, 20'000.0},
-                      SenderCase{3, false, 0.05, 20'000.0},
-                      SenderCase{4, true, 0.05, 20'000.0},
-                      SenderCase{5, true, 0.0, 2'000.0},   // heavy overload
-                      SenderCase{6, true, 0.10, 2'000.0},
-                      SenderCase{7, false, 0.10, 2'000.0},
-                      SenderCase{8, true, 0.0, 200'000.0}  // no contention
-                      ));
+    ::testing::Values(
+        SenderCase{1, false, {}, 0.0, 20'000.0},
+        SenderCase{2, true, {}, 0.0, 20'000.0},
+        SenderCase{3, false, {}, 0.05, 20'000.0},
+        SenderCase{4, true, {0x69, 0x73, 0x74}, 0.05, 20'000.0},
+        SenderCase{5, true, {}, 0.0, 2'000.0},  // heavy overload
+        SenderCase{6, true, {0x00, 0x04}, 0.10, 2'000.0},
+        SenderCase{7, false, {}, 0.10, 2'000.0},
+        SenderCase{8, true, {0x00, 0x04}, 0.0, 200'000.0}  // no contention
+        ));
 
 // ---------------------------------------------------------------------------
 // DeadlineScheduler: per-segment drops never exceed the loss-tolerance
@@ -122,10 +129,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerBudget,
 // ---------------------------------------------------------------------------
 // RateAdaptationController: the level never leaves [1, target] no matter
 // what estimate stream it sees.
+// GTest names each case by the raw bytes of this struct, so the last four
+// bytes are a spelled-out field rather than padding: padding would carry
+// whatever the build left there and rename the cases from run to run.
 struct AdaptationCase {
   std::uint64_t seed;
   game::GameId game;
+  std::uint32_t name_tag;
 };
+static_assert(sizeof(AdaptationCase) == 16, "no padding in a case name");
 
 class AdaptationBounds : public ::testing::TestWithParam<AdaptationCase> {};
 
@@ -149,9 +161,9 @@ TEST_P(AdaptationBounds, LevelAlwaysWithinBounds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AdaptationBounds,
-    ::testing::Values(AdaptationCase{1, 0}, AdaptationCase{2, 1},
-                      AdaptationCase{3, 2}, AdaptationCase{4, 3},
-                      AdaptationCase{5, 4}, AdaptationCase{6, 4}));
+    ::testing::Values(AdaptationCase{1, 0, 0xA0}, AdaptationCase{2, 1, ~0u},
+                      AdaptationCase{3, 2, 0xA0}, AdaptationCase{4, 3, ~0u},
+                      AdaptationCase{5, 4, 0}, AdaptationCase{6, 4, 0x40}));
 
 // ---------------------------------------------------------------------------
 // RateAdaptationController Eq-7 estimator: the estimate stays in [0, 4 tau].
