@@ -169,6 +169,66 @@ void BM_LatencySampleOneWay(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencySampleOneWay);
 
+/// A 40k-host roster and one distinct pair per host — the streaming run's
+/// per-player pairs, more of them than the pair memo holds.
+constexpr std::size_t kRosterSize = 40'000;
+
+std::vector<net::Endpoint> roster_endpoints() {
+  util::Rng rng(5);
+  std::vector<net::Endpoint> eps;
+  eps.reserve(kRosterSize);
+  for (std::size_t i = 0; i < kRosterSize; ++i) {
+    const net::GeoPoint pos{30.0 + rng.uniform(0.0, 18.0),
+                            -120.0 + rng.uniform(0.0, 45.0)};
+    eps.push_back(net::Endpoint{static_cast<NodeId>(i), pos,
+                                rng.uniform(1.0, 20.0), net::cos_lat(pos)});
+  }
+  return eps;
+}
+
+std::size_t roster_peer(std::size_t i) { return (i + 20'011) % kRosterSize; }
+
+void BM_LatencySampleRoster(benchmark::State& state) {
+  // Memo-path samples cycling over the roster's pairs: unlike
+  // BM_LatencySampleOneWay's 16 hosts, most lookups miss the memo.
+  const net::LatencyModel model(net::LatencyParams::simulation_profile(1));
+  model.reserve_endpoints(kRosterSize);
+  const std::vector<net::Endpoint> eps = roster_endpoints();
+  util::Rng rng(3);
+  double total = 0.0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    total += model.sample_one_way_ms(eps[i], eps[roster_peer(i)], rng);
+    if (++i == kRosterSize) i = 0;
+  }
+  benchmark::DoNotOptimize(total);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LatencySampleRoster);
+
+void BM_LatencyPathSample(benchmark::State& state) {
+  // The same pairs resolved once into LatencyPaths (untimed), then sampled
+  // round-robin: the streaming engine's per-segment cost.
+  const net::LatencyModel model(net::LatencyParams::simulation_profile(1));
+  model.reserve_endpoints(kRosterSize);
+  const std::vector<net::Endpoint> eps = roster_endpoints();
+  std::vector<net::LatencyPath> paths;
+  paths.reserve(kRosterSize);
+  for (std::size_t i = 0; i < kRosterSize; ++i)
+    paths.push_back(model.path(eps[i], eps[roster_peer(i)]));
+  const double sigma = model.params().jitter_sigma;
+  util::Rng rng(3);
+  double total = 0.0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    total += paths[i].sample(rng, sigma);
+    if (++i == kRosterSize) i = 0;
+  }
+  benchmark::DoNotOptimize(total);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LatencyPathSample);
+
 void BM_SupernodeAssign(benchmark::State& state) {
   // Section III-A3 assignment against a roster of S supernodes; each
   // iteration assigns one player and releases the slot so the roster state

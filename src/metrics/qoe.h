@@ -7,6 +7,7 @@
 //     response latency (the paper's Section-IV definition).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 
@@ -33,6 +34,40 @@ struct PlayerQoE {
   }
 };
 
+/// Records a response-latency sample into one player's record (checked:
+/// non-negative).
+void add_latency(PlayerQoE& q, TimeMs latency_ms);
+
+/// Records delivered units into one player's record (checked: `on_time`
+/// within [0, `total`], clamped into it).
+void add_units(PlayerQoE& q, double total, double on_time);
+
+/// Reduces per-player records, added in a canonical player order, to the
+/// paper's three population aggregates.
+class QoESummary {
+ public:
+  explicit QoESummary(double threshold = kSatisfactionThreshold)
+      : threshold_(threshold) {}
+
+  void add(const PlayerQoE& q);
+
+  /// Mean of the per-player mean response latencies over players with a
+  /// latency sample. 0 with none.
+  double mean_response_latency_ms() const;
+  /// Mean per-player continuity. 1 with no players.
+  double mean_continuity() const;
+  /// Fraction of players with continuity >= threshold. 1 with no players.
+  double satisfied_fraction() const;
+
+ private:
+  double threshold_;
+  std::size_t players_ = 0;
+  std::size_t with_latency_ = 0;
+  std::size_t satisfied_ = 0;
+  double latency_sum_ = 0.0;
+  double continuity_sum_ = 0.0;
+};
+
 /// Aggregates QoE over a set of players.
 class QoECollector {
  public:
@@ -49,15 +84,22 @@ class QoECollector {
 
   /// Mean of the per-player mean response latencies (the paper's "average
   /// response latency per player"). 0 with no players.
-  double mean_response_latency_ms() const;
+  double mean_response_latency_ms() const {
+    return summary().mean_response_latency_ms();
+  }
 
   /// Mean per-player continuity. 1 with no players.
-  double mean_continuity() const;
+  double mean_continuity() const { return summary().mean_continuity(); }
 
   /// Fraction of players with continuity >= threshold. 1 with no players.
-  double satisfied_fraction(double threshold = kSatisfactionThreshold) const;
+  double satisfied_fraction(double threshold = kSatisfactionThreshold) const {
+    return summary(threshold).satisfied_fraction();
+  }
 
  private:
+  /// Every player's record reduced in NodeId order.
+  QoESummary summary(double threshold = kSatisfactionThreshold) const;
+
   std::map<NodeId, PlayerQoE> players_;  // ordered: deterministic reports
 };
 

@@ -173,16 +173,44 @@ double LatencyModel::loss_probability(const Endpoint& a,
   return std::min(params_.loss_cap, std::max(0.0, rate));
 }
 
-TimeMs LatencyModel::sample_one_way_ms(const Endpoint& a, const Endpoint& b,
-                                       util::Rng& rng) const {
+LatencyPath LatencyPath::modelled(TimeMs biased_route_ms,
+                                  TimeMs last_mile_a_ms,
+                                  TimeMs last_mile_b_ms) {
+  LatencyPath p;
+  p.scale_ms_ = biased_route_ms;
+  p.last_mile_a_ms_ = last_mile_a_ms;
+  p.last_mile_b_ms_ = last_mile_b_ms;
+  p.kind_ = Kind::kModelled;
+  return p;
+}
+
+LatencyPath LatencyPath::traced(TimeMs traced_ms) {
+  LatencyPath p;
+  p.scale_ms_ = traced_ms;
+  p.kind_ = Kind::kTraced;
+  return p;
+}
+
+TimeMs LatencyPath::sample(util::Rng& rng, double jitter_sigma) const {
+  if (kind_ == Kind::kTraced) return scale_ms_ * rng.lognormal(0.0, jitter_sigma);
   CF_OBS_COUNT_HOT("net.latency.samples", 1);
-  if (a.id == b.id) return 0.1;
-  const PairEntry& e = pair_entry(a, b);
-  const double route = route_from_km(e.d_km) * e.bias *
-                       rng.lognormal(0.0, params_.jitter_sigma);
-  const TimeMs sample = route + a.last_mile_ms + b.last_mile_ms;
+  if (kind_ == Kind::kLoopback) return 0.1;
+  const double route = scale_ms_ * rng.lognormal(0.0, jitter_sigma);
+  const TimeMs sample = route + last_mile_a_ms_ + last_mile_b_ms_;
   CF_OBS_HIST_HOT("net.latency.one_way_ms", sample);
   return sample;
+}
+
+LatencyPath LatencyModel::path(const Endpoint& a, const Endpoint& b) const {
+  if (a.id == b.id) return LatencyPath{};
+  const PairEntry& e = pair_entry(a, b);
+  return LatencyPath::modelled(route_from_km(e.d_km) * e.bias, a.last_mile_ms,
+                               b.last_mile_ms);
+}
+
+TimeMs LatencyModel::sample_one_way_ms(const Endpoint& a, const Endpoint& b,
+                                       util::Rng& rng) const {
+  return path(a, b).sample(rng, params_.jitter_sigma);
 }
 
 }  // namespace cloudfog::net

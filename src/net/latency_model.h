@@ -62,6 +62,35 @@ struct Endpoint {
   double cos_lat = 2.0;
 };
 
+/// One host pair's one-way latency with everything but the per-packet
+/// jitter resolved: the pair's memoized route x bias factor and both
+/// endpoints' last-mile delays. sample() is the one implementation of a
+/// jittered sample — LatencyModel::sample_one_way_ms and the Topology
+/// sample_* calls resolve a path and sample it — so a caller that samples
+/// one pair over and over can resolve it once and skip the per-sample host
+/// and memo lookups, bit for bit. Immutable; default-constructed it is the
+/// loopback path.
+class LatencyPath {
+ public:
+  LatencyPath() = default;
+  /// (route x bias) x jitter + last_mile_a + last_mile_b.
+  static LatencyPath modelled(TimeMs biased_route_ms, TimeMs last_mile_a_ms,
+                              TimeMs last_mile_b_ms);
+  /// A measured trace latency: traced x jitter, uninstrumented.
+  static LatencyPath traced(TimeMs traced_ms);
+
+  /// One packet's one-way latency. `jitter_sigma` is the lognormal sigma of
+  /// the model the path was resolved against (LatencyParams::jitter_sigma).
+  TimeMs sample(util::Rng& rng, double jitter_sigma) const;
+
+ private:
+  enum class Kind : std::uint8_t { kLoopback, kModelled, kTraced };
+  TimeMs scale_ms_ = 0.0;  // route x bias, or the traced latency
+  TimeMs last_mile_a_ms_ = 0.0;
+  TimeMs last_mile_b_ms_ = 0.0;
+  Kind kind_ = Kind::kLoopback;
+};
+
 /// Latency calculator over endpoint pairs. Logically const: every quantity
 /// is a pure deterministic function of (params, endpoints). Internally it
 /// memoizes the per-pair route bias and great-circle distance in a set-
@@ -70,8 +99,9 @@ struct Endpoint {
 /// starts at 4096 entries and is re-sized (power-of-two set counts, 4-way)
 /// by reserve_endpoints() as the topology announces its roster, so the
 /// working set of a million-player run does not thrash a fixed-size memo
-/// (DESIGN.md §12). The cache makes the model non-thread-safe; the
-/// simulation is single-threaded.
+/// (DESIGN.md §12). The cache makes the model non-thread-safe: every shard
+/// of a streaming run samples on its own topology copy, so each memo has
+/// exactly one user (DESIGN.md §13).
 class LatencyModel {
  public:
   explicit LatencyModel(LatencyParams params)
@@ -103,6 +133,11 @@ class LatencyModel {
   /// One packet's one-way latency: expected value times lognormal jitter.
   TimeMs sample_one_way_ms(const Endpoint& a, const Endpoint& b,
                            util::Rng& rng) const;
+
+  /// The pair's resolved latency path (one memo lookup now, none per
+  /// sample): path(a, b).sample(rng, params().jitter_sigma) is
+  /// sample_one_way_ms(a, b, rng), bit for bit.
+  LatencyPath path(const Endpoint& a, const Endpoint& b) const;
 
   /// Expected round-trip latency (2x one-way; routes modelled symmetric).
   TimeMs expected_rtt_ms(const Endpoint& a, const Endpoint& b) const {

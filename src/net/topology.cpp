@@ -87,11 +87,19 @@ TimeMs Topology::expected_server_one_way_ms(NodeId server,
 
 TimeMs Topology::sample_server_one_way_ms(NodeId server, NodeId client,
                                           util::Rng& rng) const {
+  return server_path(server, client).sample(rng, jitter_sigma());
+}
+
+LatencyPath Topology::path(NodeId a, NodeId b) const {
   TimeMs traced = 0.0;
-  if (trace_lookup(server, client, &traced)) {
-    return traced * rng.lognormal(0.0, model_.params().jitter_sigma);
-  }
-  return model_.sample_one_way_ms(server_endpoint(server), endpoint(client), rng);
+  if (trace_lookup(a, b, &traced)) return LatencyPath::traced(traced);
+  return model_.path(endpoint(a), endpoint(b));
+}
+
+LatencyPath Topology::server_path(NodeId server, NodeId client) const {
+  TimeMs traced = 0.0;
+  if (trace_lookup(server, client, &traced)) return LatencyPath::traced(traced);
+  return model_.path(server_endpoint(server), endpoint(client));
 }
 
 void Topology::attach_trace(const LatencyTrace* trace) { trace_ = trace; }
@@ -123,11 +131,7 @@ TimeMs Topology::expected_rtt_ms(NodeId a, NodeId b) const {
 }
 
 TimeMs Topology::sample_one_way_ms(NodeId a, NodeId b, util::Rng& rng) const {
-  TimeMs traced = 0.0;
-  if (trace_lookup(a, b, &traced)) {
-    return traced * rng.lognormal(0.0, model_.params().jitter_sigma);
-  }
-  return model_.sample_one_way_ms(endpoint(a), endpoint(b), rng);
+  return path(a, b).sample(rng, jitter_sigma());
 }
 
 std::vector<NodeId> Topology::sorted_by_latency(

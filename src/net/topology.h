@@ -92,6 +92,15 @@ class Topology {
   TimeMs expected_rtt_ms(NodeId a, NodeId b) const;
   TimeMs sample_one_way_ms(NodeId a, NodeId b, util::Rng& rng) const;
 
+  /// The pair's latency path, resolved once (an attached trace included):
+  /// path(a, b).sample(rng, jitter_sigma()) is sample_one_way_ms(a, b, rng)
+  /// bit for bit, minus the per-sample host and memo lookups.
+  LatencyPath path(NodeId a, NodeId b) const;
+  /// As path(), for the serving direction: sample_server_one_way_ms.
+  LatencyPath server_path(NodeId server, NodeId client) const;
+  /// The per-packet jitter sigma every LatencyPath::sample takes.
+  double jitter_sigma() const { return model_.params().jitter_sigma; }
+
   /// Latency of the serving path between `server` (using its wired
   /// server-side interface) and `client` (using its access interface).
   TimeMs expected_server_one_way_ms(NodeId server, NodeId client) const;

@@ -4,8 +4,8 @@
 // geographic shards along supernode geography (shard/partition.h; K =
 // ScenarioParams::sim_shards, default 1), each shard owns a private slab
 // event engine plus private copies of every piece of mutable state its
-// entities touch (sender/buffer slabs, QoE collector, cache service,
-// topology latency memo), and a shard::ShardCluster advances all K in
+// entities touch (sender/buffer slabs, cache service, topology latency
+// memo), and a shard::ShardCluster advances all K in
 // conservative time windows whose lookahead is the minimum latency any
 // cross-shard message can carry. K = 1 is the ordinary run and the oracle
 // every K > 1 digest is pinned to.
@@ -25,9 +25,9 @@
 //     topology finish before the cluster runs, so during the run shard 0
 //     is the only user of that memo.
 //   * All result reduction happens in a canonical order: per-player
-//     accumulators in global slot order, per-supernode byte ledgers in
-//     NodeId order, shard QoE maps merged per-player (each player lives in
-//     exactly one shard). Remaining caveat: two *different* entities
+//     accumulators (QoE records included) in global slot order, which is
+//     population-index order, and per-supernode byte ledgers in NodeId
+//     order. Remaining caveat: two *different* entities
 //     colliding on an identical event timestamp could order differently
 //     across shard counts — phases are continuous uniforms, so ties are
 //     measure-zero.
@@ -85,7 +85,6 @@ namespace {
 /// reaches this record (and through `slot`, the player) without a hash
 /// lookup.
 struct SegmentTracker {
-  std::size_t pop_index = 0;
   std::size_t slot = 0;  // global player slot (players_ index)
   TimeMs action_ms = 0.0;
   int live_packets = 0;
@@ -97,9 +96,9 @@ struct SegmentTracker {
 /// One streaming player. Kept lean — a run holds one per active player:
 /// the game profile is a pointer into the static catalog, and the rate
 /// adaptation state lives in StreamingEngine::adaptation_ (adaptive kinds
-/// only).
+/// only). The host pairs a player samples every segment are resolved once
+/// at setup, so the per-segment path reads no host table and no pair memo.
 struct ShardPlayer {
-  std::size_t pop_index = 0;
   NodeId host = kInvalidNode;
   int level = 0;
   const game::GameProfile* profile = nullptr;
@@ -107,15 +106,21 @@ struct ShardPlayer {
   Kbps wan_cap_kbps = 0.0;
   double loss_prob = 0.0;
   stream::StoreHandle buffer = stream::kNullHandle;
-  stream::StoreHandle queue = stream::kNullHandle;  // DC/edge private queue
+  /// Fluid queue: private at a DC/edge server, the supernode's shared one
+  /// for supernode players of the fluid kinds.
+  stream::StoreHandle queue = stream::kNullHandle;
   // Churn fallback: per-player queue at the home DC, plus the loss of that
   // path; provisioned at setup for at-risk players only.
   stream::StoreHandle failover_queue = stream::kNullHandle;
   double failover_loss_prob = 0.0;
   bool failed_over = false;
+  bool qoe_reported = false;  // see report_qoe()
   /// Handle of this player's supernode packet sender in the owning shard's
   /// packet_store (scheduling kinds only) — submit never hashes.
   stream::StoreHandle packet_sender = stream::kNullHandle;
+  net::LatencyPath uplink;  // host -> edge server, or host -> home DC
+  net::LatencyPath feed;    // home DC -> supernode (supernode players only)
+  net::LatencyPath stream;  // server -> host
   /// Private sample stream: every stochastic draw this player causes
   /// (pipeline jitter, VBR size, fluid propagation) comes from here.
   util::Rng rng{0};
@@ -124,6 +129,14 @@ struct ShardPlayer {
   Kbit cloud_kbit = 0.0;
   double level_sum = 0.0;  // over the `segments` measured segments
   std::uint64_t segments = 0;
+  metrics::PlayerQoE qoe;
+
+  /// The QoE record, marked reported: only reported players count towards
+  /// the population aggregates (the collector's create-on-first-use).
+  metrics::PlayerQoE& report_qoe() {
+    qoe_reported = true;
+    return qoe;
+  }
 };
 
 /// Receiver-driven rate adaptation state of one player (Section III-B).
@@ -159,10 +172,8 @@ struct Shard {
   stream::FluidSenderStore fluid_store;
   stream::ReceiverBufferStore buffer_store;
   stream::SegmentFactory factory;
-  metrics::QoECollector qoe;
   std::optional<cache::EdgeCacheService> cache;
   // Keyed by node, setup/churn only — never touched per packet.
-  std::unordered_map<NodeId, stream::StoreHandle> sn_fluid;
   std::unordered_map<NodeId, stream::StoreHandle> packet;
   // Packet senders by value; completion events capture sender addresses,
   // so the slab must not grow once the first event runs — every sender is
@@ -261,6 +272,7 @@ class StreamingEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   util::Rng jitter_base_{0};  // parent of every per-entity stream
+  double jitter_sigma_ = 0.0;  // of every shard topology's latency model
   std::vector<ShardPlayer> players_;
   std::vector<PlayerAdaptation> adaptation_;  // by slot; adaptive kinds only
   std::map<NodeId, SupernodeInfo> sn_infos_;  // NodeId order everywhere
@@ -283,6 +295,11 @@ void StreamingEngine::setup_players() {
     active = options_.explicit_players;
     for (std::size_t p : active)
       CF_CHECK_MSG(p < scenario_.population().size(), "unknown player index");
+    std::vector<std::size_t> sorted = active;
+    std::sort(sorted.begin(), sorted.end());
+    CF_CHECK_MSG(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                     sorted.end(),
+                 "explicit players must not repeat a population index");
   } else {
     CF_CHECK_MSG(options_.num_players <= scenario_.population().size(),
                  "more players requested than the population holds");
@@ -296,22 +313,27 @@ void StreamingEngine::setup_players() {
   active_supernodes_ = plan.active_supernodes.size();
 
   const ScenarioParams& params = scenario_.params();
+  const net::Topology& topo = scenario_.topology();
+  jitter_sigma_ = topo.jitter_sigma();
   players_.reserve(plan.players.size());
   for (const PlayerAssignment& pa : plan.players) {
     ShardPlayer ps;
-    ps.pop_index = pa.pop_index;
     ps.host = scenario_.player_host(pa.pop_index);
     ps.profile = &game::game_by_id(scenario_.player_game(pa.pop_index));
     ps.assignment = pa;
     ps.level = ps.profile->target_quality_level;
     ps.rng = jitter_base_.fork("p" + std::to_string(pa.pop_index));
-    ps.loss_prob = scenario_.topology().server_loss_probability(
-        pa.server, ps.host);
+    ps.loss_prob = topo.server_loss_probability(pa.server, ps.host);
     if (params.tcp_window_kbit > 0.0) {
-      const TimeMs rtt = std::max(
-          1.0, scenario_.topology().expected_server_rtt_ms(pa.server, ps.host));
+      const TimeMs rtt =
+          std::max(1.0, topo.expected_server_rtt_ms(pa.server, ps.host));
       ps.wan_cap_kbps = params.tcp_window_kbit / (rtt / 1000.0);
     }
+    ps.uplink = topo.path(
+        ps.host, pa.type == ServerType::kEdge ? pa.server : pa.home_dc);
+    if (pa.type == ServerType::kSupernode)
+      ps.feed = topo.server_path(pa.server, pa.home_dc);
+    ps.stream = topo.server_path(pa.server, ps.host);
     players_.push_back(std::move(ps));
   }
 }
@@ -562,8 +584,8 @@ void StreamingEngine::setup_senders() {
             if (t.measured) ++owner.drops;
             if (t.live_packets <= 0) {
               if (t.delivered_any && t.measured) {
-                owner.qoe.add_latency(static_cast<NodeId>(t.pop_index),
-                                      t.last_arrival - t.action_ms);
+                metrics::add_latency(players_[t.slot].report_qoe(),
+                                     t.last_arrival - t.action_ms);
               }
               owner.tracker_store.destroy(seg.delivery_tag);
             }
@@ -573,7 +595,8 @@ void StreamingEngine::setup_senders() {
       for (std::size_t slot : info.player_slots)
         players_[slot].packet_sender = handle;
     } else {
-      sh.sn_fluid.emplace(server, sh.fluid_store.create(info.uplink_kbps));
+      const stream::StoreHandle queue = sh.fluid_store.create(info.uplink_kbps);
+      for (std::size_t slot : info.player_slots) players_[slot].queue = queue;
     }
   }
 }
@@ -656,21 +679,15 @@ void StreamingEngine::on_action(std::size_t slot) {
   TimeMs pipeline = 0.0;
   if (ps.failed_over) {
     // Fallback pipeline: the home DC computes and renders; no update feed.
-    pipeline +=
-        sh.topo->sample_one_way_ms(ps.host, ps.assignment.home_dc, ps.rng);
+    // Only supernode players fail over, and their uplink already leads to
+    // the home DC.
+    pipeline += ps.uplink.sample(ps.rng, jitter_sigma_);
     pipeline += params.compute_ms + params.render_ms;
   } else {
-    if (ps.assignment.type == ServerType::kEdge) {
-      pipeline += sh.topo->sample_one_way_ms(ps.host, ps.assignment.server,
-                                            ps.rng);
-    } else {
-      pipeline += sh.topo->sample_one_way_ms(ps.host, ps.assignment.home_dc,
-                                            ps.rng);
-    }
+    pipeline += ps.uplink.sample(ps.rng, jitter_sigma_);
     pipeline += params.compute_ms;
     if (ps.assignment.type == ServerType::kSupernode) {
-      pipeline += sh.topo->sample_server_one_way_ms(
-          ps.assignment.server, ps.assignment.home_dc, ps.rng);
+      pipeline += ps.feed.sample(ps.rng, jitter_sigma_);
     }
     pipeline += params.render_ms;
   }
@@ -715,27 +732,26 @@ void StreamingEngine::submit_fluid(std::size_t slot,
   const bool failed = ps.failed_over;
   const bool shared_queue =
       !failed && ps.assignment.type == ServerType::kSupernode;
-  const stream::StoreHandle handle =
-      failed ? ps.failover_queue
-             : (shared_queue ? sh.sn_fluid.at(ps.assignment.server)
-                             : ps.queue);
-  stream::QueuedSender& sender = sh.fluid_store.get(handle);
+  stream::QueuedSender& sender =
+      sh.fluid_store.get(failed ? ps.failover_queue : ps.queue);
   stream::SendSchedule sched = sender.enqueue(sh.sim->now(), seg.size_kbit);
   if (shared_queue && ps.wan_cap_kbps > 0.0 &&
       ps.wan_cap_kbps < sender.capacity()) {
     sched.end = sched.start + transmission_ms(seg.size_kbit, ps.wan_cap_kbps);
   }
-  const NodeId origin = failed ? ps.assignment.home_dc : ps.assignment.server;
   const double loss = failed ? ps.failover_loss_prob : ps.loss_prob;
+  // The failover path (home DC -> host) is rare and stays on the memo.
   const TimeMs prop =
-      sh.topo->sample_server_one_way_ms(origin, ps.host, ps.rng);
+      failed ? sh.topo->sample_server_one_way_ms(ps.assignment.home_dc,
+                                                 ps.host, ps.rng)
+             : ps.stream.sample(ps.rng, jitter_sigma_);
   const TimeMs last_arrival = sched.end + prop;
   if (in_window(seg.action_time_ms)) {
-    const NodeId key = static_cast<NodeId>(ps.pop_index);
-    sh.qoe.add_latency(key, last_arrival - seg.action_time_ms);
+    metrics::PlayerQoE& qoe = ps.report_qoe();
+    metrics::add_latency(qoe, last_arrival - seg.action_time_ms);
     const Kbit on_time =
         sched.sent_by(seg.deadline_ms - prop, seg.size_kbit) * (1.0 - loss);
-    sh.qoe.add_units(key, seg.size_kbit, on_time);
+    metrics::add_units(qoe, seg.size_kbit, on_time);
   }
   if (ps.buffer != stream::kNullHandle) {
     const Kbit size = seg.size_kbit;
@@ -753,14 +769,12 @@ void StreamingEngine::submit_packet(std::size_t slot,
   Shard& sh = *shards_[ps.shard];
   const stream::StoreHandle tag = sh.tracker_store.create();
   SegmentTracker& tracker = sh.tracker_store.get(tag);
-  tracker.pop_index = ps.pop_index;
   tracker.slot = slot;
   tracker.action_ms = seg.action_time_ms;
   tracker.live_packets = stream::packet_count(seg.size_kbit);
   tracker.measured = in_window(seg.action_time_ms);
   if (tracker.measured) {
-    sh.qoe.player(static_cast<NodeId>(ps.pop_index)).units_total +=
-        static_cast<double>(tracker.live_packets);
+    ps.report_qoe().units_total += static_cast<double>(tracker.live_packets);
   }
   seg.delivery_tag = tag;
   // submit() may fire the drop observer, which can destroy trackers (this
@@ -773,23 +787,24 @@ void StreamingEngine::on_packet_delivery(std::size_t s,
   Shard& sh = *shards_[s];
   if (!sh.tracker_store.contains(d.delivery_tag)) return;
   SegmentTracker& tracker = sh.tracker_store.get(d.delivery_tag);
-  const auto key = static_cast<NodeId>(tracker.pop_index);
+  const std::size_t slot = tracker.slot;
+  ShardPlayer& ps = players_[slot];
   if (tracker.measured && d.on_time()) {
-    sh.qoe.player(key).units_on_time += 1.0;
+    ps.report_qoe().units_on_time += 1.0;
   }
   if (!d.lost) {
     tracker.delivered_any = true;
     tracker.last_arrival = std::max(tracker.last_arrival, d.arrival_ms);
   }
   --tracker.live_packets;
-  const std::size_t slot = tracker.slot;
   if (tracker.live_packets <= 0) {
     if (tracker.measured && tracker.delivered_any) {
-      sh.qoe.add_latency(key, tracker.last_arrival - tracker.action_ms);
+      metrics::add_latency(ps.report_qoe(),
+                           tracker.last_arrival - tracker.action_ms);
     }
     sh.tracker_store.destroy(d.delivery_tag);
   }
-  if (players_[slot].buffer != stream::kNullHandle && !d.lost) {
+  if (ps.buffer != stream::kNullHandle && !d.lost) {
     const Kbit size = d.size_kbit;
     const TimeMs when = std::max(d.arrival_ms, sh.sim->now());
     sh.sim->schedule_at(when, [this, slot, size] {
@@ -869,7 +884,7 @@ void StreamingEngine::fail_over_segment(
     // fallback path's loss — the fluid analogue of per-packet on_time().
     const Kbit on_time_kbit =
         sched.sent_by(seg.deadline_ms - prop, pending.remaining_kbit);
-    sh.qoe.player(static_cast<NodeId>(tracker.pop_index)).units_on_time +=
+    ps.report_qoe().units_on_time +=
         on_time_kbit / pending.remaining_kbit *
         static_cast<double>(pending.remaining_packets) *
         (1.0 - ps.failover_loss_prob);
@@ -888,8 +903,8 @@ void StreamingEngine::fail_over_segment(
   }
   if (tracker.live_packets <= 0) {
     if (tracker.measured && tracker.delivered_any) {
-      sh.qoe.add_latency(static_cast<NodeId>(tracker.pop_index),
-                         tracker.last_arrival - tracker.action_ms);
+      metrics::add_latency(ps.report_qoe(),
+                           tracker.last_arrival - tracker.action_ms);
     }
     sh.tracker_store.destroy(seg.delivery_tag);
   }
@@ -959,13 +974,6 @@ void StreamingEngine::post_or_local(std::size_t src, std::size_t dst,
 StreamingResult StreamingEngine::assemble() {
   // Trackers for segments still in flight at the horizon stay in their
   // shard's slab; the stores die with the shards.
-
-  // Each player lives in exactly one shard, so the merged collector is a
-  // disjoint union; the map key order makes every aggregate canonical.
-  metrics::QoECollector merged;
-  for (const auto& sh : shards_) {
-    for (const auto& [id, q] : sh->qoe.all()) merged.player(id) = q;
-  }
   std::map<NodeId, NodeLedger> ledger;
   for (const auto& sh : shards_) {
     for (const auto& [node, led] : sh->ledger) ledger[node] = led;
@@ -983,17 +991,21 @@ StreamingResult StreamingEngine::assemble() {
   std::uint64_t drops = 0;
   for (const auto& sh : shards_) drops += sh->drops;
 
-  StreamingResult result;
-  result.mean_response_latency_ms = merged.mean_response_latency_ms();
+  // QoE records reduce in slot order, which is population-index order.
+  metrics::QoESummary qoe;
   util::SampleSet per_player;
-  for (const auto& [id, q] : merged.all()) {
-    if (q.response_latency_ms.count() > 0)
-      per_player.add(q.response_latency_ms.mean());
+  for (const ShardPlayer& ps : players_) {
+    if (!ps.qoe_reported) continue;
+    qoe.add(ps.qoe);
+    if (ps.qoe.response_latency_ms.count() > 0)
+      per_player.add(ps.qoe.response_latency_ms.mean());
   }
+  StreamingResult result;
+  result.mean_response_latency_ms = qoe.mean_response_latency_ms();
   result.p95_response_latency_ms =
       per_player.empty() ? 0.0 : per_player.percentile(95.0);
-  result.mean_continuity = merged.mean_continuity();
-  result.satisfied_fraction = merged.satisfied_fraction();
+  result.mean_continuity = qoe.mean_continuity();
+  result.satisfied_fraction = qoe.satisfied_fraction();
   // Update-feed cost stays nominal (the assignment plan's active set):
   // churned supernodes keep their slot in the plan.
   const Kbps update_feed = scenario_.params().update_stream_kbps *
@@ -1038,11 +1050,9 @@ StreamingResult StreamingEngine::assemble() {
   std::array<std::size_t, 5> satisfied_count{};
   for (const ShardPlayer& ps : players_) {
     const auto g = static_cast<std::size_t>(ps.profile->id);
-    const metrics::PlayerQoE& q =
-        merged.player(static_cast<NodeId>(ps.pop_index));
     ++result.players_by_game[g];
-    continuity_sum[g] += q.continuity();
-    if (q.satisfied()) ++satisfied_count[g];
+    continuity_sum[g] += ps.qoe.continuity();
+    if (ps.qoe.satisfied()) ++satisfied_count[g];
   }
   for (std::size_t g = 0; g < 5; ++g) {
     if (result.players_by_game[g] > 0) {

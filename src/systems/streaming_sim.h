@@ -51,7 +51,7 @@ struct SupernodeChurnEvent {
 struct StreamingOptions {
   std::size_t num_players = 2'000;
   /// When non-empty, these population indices play (num_players ignored) —
-  /// lets scenarios model localized load spikes.
+  /// lets scenarios model localized load spikes. An index may not repeat.
   std::vector<std::size_t> explicit_players;
   TimeMs warmup_ms = 3'000.0;
   TimeMs duration_ms = 15'000.0;   // measurement window after warmup

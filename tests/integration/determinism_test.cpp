@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "systems/streaming_sim.h"
 #include "util/rng.h"
+#include "qoe_digest.h"
 
 namespace cloudfog::systems {
 namespace {
@@ -40,37 +41,6 @@ StreamingOptions quick_options() {
   o.duration_ms = 3'000.0;
   o.drain_ms = 500.0;
   return o;
-}
-
-/// FNV-1a over the exact bit patterns of every field of a StreamingResult —
-/// the "QoE digest". Two runs agree iff every metric is bit-identical.
-std::uint64_t qoe_digest(const StreamingResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
-  const auto mix_double = [&mix](double d) {
-    mix(std::bit_cast<std::uint64_t>(d));
-  };
-  mix_double(r.mean_response_latency_ms);
-  mix_double(r.p95_response_latency_ms);
-  mix_double(r.mean_continuity);
-  mix_double(r.satisfied_fraction);
-  mix_double(r.cloud_uplink_mbps);
-  mix_double(r.mean_quality_level);
-  mix(r.segments_generated);
-  mix(r.packets_dropped);
-  mix(r.supernode_supported);
-  mix(r.edge_supported);
-  for (std::size_t g = 0; g < r.players_by_game.size(); ++g) {
-    mix(r.players_by_game[g]);
-    mix_double(r.continuity_by_game[g]);
-    mix_double(r.satisfied_by_game[g]);
-  }
-  return h;
 }
 
 class DeterminismTest : public ::testing::TestWithParam<SystemKind> {};

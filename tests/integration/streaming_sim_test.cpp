@@ -137,6 +137,12 @@ TEST(StreamingSim, RejectsBadOptions) {
   o2.num_players = 1'000'000;  // more than the population
   EXPECT_THROW(run_streaming(SystemKind::kCloud, shared_scenario(), o2),
                std::logic_error);
+  // A repeated population index would get two player slots — possibly on
+  // different shards — for one player.
+  StreamingOptions o3 = quick_options(3);
+  o3.explicit_players = {4, 17, 4};
+  EXPECT_THROW(run_streaming(SystemKind::kCloudFogB, shared_scenario(), o3),
+               std::logic_error);
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
+
+#include "net/trace.h"
+#include "obs/metrics.h"
 
 namespace cloudfog::net {
 namespace {
@@ -82,6 +88,89 @@ TEST(Topology, NegativeLastMileRejected) {
   Topology topo(LatencyModel(LatencyParams::simulation_profile()));
   EXPECT_THROW(topo.add_host(HostRole::kPlayer, {40.0, -75.0}, -1.0),
                std::logic_error);
+}
+
+std::uint64_t samples_counted(const obs::MetricsRegistry& registry) {
+  const obs::Counter* c = registry.find_counter("net.latency.samples");
+  return c == nullptr ? 0 : c->value();
+}
+
+/// Draws 1,000 samples through `resolved` and through `memo` from twin
+/// RNGs: every bit pattern, the RNGs' end states and the sample counter's
+/// advance must agree.
+void expect_twin_streams(const std::function<TimeMs(util::Rng&)>& resolved,
+                         const std::function<TimeMs(util::Rng&)>& memo) {
+  util::Rng rng_resolved(2024), rng_memo(2024);
+  obs::MetricsRegistry reg_resolved, reg_memo;
+  for (int i = 0; i < 1'000; ++i) {
+    TimeMs a = 0.0, b = 0.0;
+    {
+      obs::ScopedRegistry install(reg_resolved);
+      a = resolved(rng_resolved);
+    }
+    {
+      obs::ScopedRegistry install(reg_memo);
+      b = memo(rng_memo);
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << "sample " << i;
+  }
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(rng_resolved(), rng_memo());
+  EXPECT_EQ(samples_counted(reg_resolved), samples_counted(reg_memo));
+}
+
+TEST(LatencyPath, SamplesBitIdenticalToTheMemoPath) {
+  Topology topo = small_world();
+  const double sigma = topo.jitter_sigma();
+  // A model pair, a server-side pair and a loopback pair.
+  const LatencyPath model = topo.path(2, 0);
+  expect_twin_streams([&](util::Rng& r) { return model.sample(r, sigma); },
+                      [&](util::Rng& r) { return topo.sample_one_way_ms(2, 0, r); });
+  const LatencyPath server = topo.server_path(2, 3);
+  expect_twin_streams(
+      [&](util::Rng& r) { return server.sample(r, sigma); },
+      [&](util::Rng& r) { return topo.sample_server_one_way_ms(2, 3, r); });
+  const LatencyPath loopback = topo.path(1, 1);
+  expect_twin_streams(
+      [&](util::Rng& r) { return loopback.sample(r, sigma); },
+      [&](util::Rng& r) { return topo.sample_one_way_ms(1, 1, r); });
+  util::Rng untouched(7), reference(7);
+  EXPECT_EQ(loopback.sample(untouched, sigma), 0.1);
+  EXPECT_EQ(untouched(), reference());  // loopback takes no draw
+
+  // A pair covered by an attached trace samples traced x jitter.
+  LatencyTrace trace(4);
+  trace.set_one_way_ms(0, 3, 61.5);
+  topo.attach_trace(&trace);
+  const LatencyPath traced = topo.server_path(0, 3);
+  expect_twin_streams(
+      [&](util::Rng& r) { return traced.sample(r, sigma); },
+      [&](util::Rng& r) { return topo.sample_server_one_way_ms(0, 3, r); });
+  expect_twin_streams(
+      [&](util::Rng& r) { return traced.sample(r, sigma); },
+      [&](util::Rng& r) { return 61.5 * r.lognormal(0.0, sigma); });
+}
+
+TEST(LatencyPath, KeepsTheModelsExpressionOrder) {
+  // The memo path's arithmetic spelled out from public model pieces:
+  // (route x bias) x jitter + last_mile_a + last_mile_b, one jitter draw.
+  Topology topo = small_world();
+  const LatencyModel& m = topo.model();
+  const double sigma = topo.jitter_sigma();
+  const Endpoint a = topo.endpoint(2);
+  const Endpoint b = topo.endpoint(1);
+  const LatencyPath path = topo.path(2, 1);
+  util::Rng rng_path(99), rng_formula(99);
+  for (int i = 0; i < 1'000; ++i) {
+    const TimeMs got = path.sample(rng_path, sigma);
+    const TimeMs want = m.route_ms(a, b) * m.pair_bias(a.id, b.id) *
+                            rng_formula.lognormal(0.0, sigma) +
+                        a.last_mile_ms + b.last_mile_ms;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "sample " << i;
+  }
+  EXPECT_EQ(rng_path(), rng_formula());
 }
 
 TEST(BuildTopology, CountsMatchConfig) {
