@@ -6,7 +6,7 @@
 // workers; results come back in submission order, so the table is
 // bit-identical at any width.
 #include "bench_common.h"
-#include "systems/cooperation_experiment.h"
+#include "systems/supernode_experiment.h"
 #include "util/stats.h"
 
 using namespace cloudfog;
@@ -18,12 +18,18 @@ int main(int argc, char** argv) {
                         "striped transmission across two supernodes");
 
     const std::vector<double> skews{0.5, 0.7, 0.85, 0.95};
-    std::vector<CooperationExperimentConfig> configs;
+    std::vector<SupernodeExperimentConfig> configs;
     configs.reserve(skews.size() * bench::seed_count() * 2);
     for (double skew : skews) {
       for (std::size_t seed = 0; seed < bench::seed_count(); ++seed) {
-        CooperationExperimentConfig config;
+        SupernodeExperimentConfig config;
+        config.supernodes = 2;
+        config.num_players = 24;
+        // Sized so a heavily skewed assignment overloads the hot node
+        // (~1.1x at skew 0.95) while the pair together has slack.
+        config.uplink_kbps = 16'000.0;
         config.primary_skew = skew;
+        config.warmup_ms = 4'000.0;
         config.duration_ms = bench::fast_mode() ? 8'000.0 : 16'000.0;
         config.seed = 7 + seed * 10;
         auto striped = config;
@@ -34,8 +40,8 @@ int main(int argc, char** argv) {
     }
 
     const std::uint64_t start_us = obs::wall_now_us();
-    const std::vector<CooperationExperimentResult> results =
-        run_cooperation_experiments(configs, bench::executor());
+    const std::vector<SupernodeExperimentResult> results =
+        run_supernode_experiments(configs, bench::executor());
     obs::record_sweep_wall_ms(
         "cooperation",
         static_cast<double>(obs::wall_now_us() - start_us) / 1000.0);
@@ -48,14 +54,14 @@ int main(int argc, char** argv) {
       util::RunningStats single_sat, single_lat, striped_sat, striped_lat;
       double load_a = 0.0, load_b = 0.0;
       for (std::size_t seed = 0; seed < bench::seed_count(); ++seed) {
-        const CooperationExperimentResult& r1 = results[next++];
-        const CooperationExperimentResult& r2 = results[next++];
+        const SupernodeExperimentResult& r1 = results[next++];
+        const SupernodeExperimentResult& r2 = results[next++];
         single_sat.add(r1.satisfied_fraction);
         single_lat.add(r1.mean_response_latency_ms);
         striped_sat.add(r2.satisfied_fraction);
         striped_lat.add(r2.mean_response_latency_ms);
-        load_a = r1.offered_load_a;
-        load_b = r1.offered_load_b;
+        load_a = r1.supernode_load[0];
+        load_b = r1.supernode_load[1];
       }
       table.add_row({util::format_double(skew, 2) + " (" +
                          util::format_double(load_a, 2) + "/" +

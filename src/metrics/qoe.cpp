@@ -45,18 +45,4 @@ double QoESummary::satisfied_fraction() const {
                              static_cast<double>(players_);
 }
 
-void QoECollector::add_latency(NodeId id, TimeMs latency_ms) {
-  metrics::add_latency(players_[id], latency_ms);
-}
-
-void QoECollector::add_units(NodeId id, double total, double on_time) {
-  metrics::add_units(players_[id], total, on_time);
-}
-
-QoESummary QoECollector::summary(double threshold) const {
-  QoESummary s(threshold);
-  for (const auto& [id, q] : players_) s.add(q);
-  return s;
-}
-
 }  // namespace cloudfog::metrics

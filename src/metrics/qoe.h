@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 
 #include "util/stats.h"
 #include "util/types.h"
@@ -66,41 +64,6 @@ class QoESummary {
   std::size_t satisfied_ = 0;
   double latency_sum_ = 0.0;
   double continuity_sum_ = 0.0;
-};
-
-/// Aggregates QoE over a set of players.
-class QoECollector {
- public:
-  /// Accumulator for `player` (created on first use).
-  PlayerQoE& player(NodeId id) { return players_[id]; }
-  const std::map<NodeId, PlayerQoE>& all() const { return players_; }
-  std::size_t player_count() const { return players_.size(); }
-
-  /// Records a response-latency sample for a player.
-  void add_latency(NodeId id, TimeMs latency_ms);
-
-  /// Records delivered units (`on_time` <= `total`).
-  void add_units(NodeId id, double total, double on_time);
-
-  /// Mean of the per-player mean response latencies (the paper's "average
-  /// response latency per player"). 0 with no players.
-  double mean_response_latency_ms() const {
-    return summary().mean_response_latency_ms();
-  }
-
-  /// Mean per-player continuity. 1 with no players.
-  double mean_continuity() const { return summary().mean_continuity(); }
-
-  /// Fraction of players with continuity >= threshold. 1 with no players.
-  double satisfied_fraction(double threshold = kSatisfactionThreshold) const {
-    return summary(threshold).satisfied_fraction();
-  }
-
- private:
-  /// Every player's record reduced in NodeId order.
-  QoESummary summary(double threshold = kSatisfactionThreshold) const;
-
-  std::map<NodeId, PlayerQoE> players_;  // ordered: deterministic reports
 };
 
 }  // namespace cloudfog::metrics

@@ -90,24 +90,31 @@ std::string bench_json_document(const std::string& name,
                         const Gauge* g, const Histogram* h) {
     if (c != nullptr) {
       if (!counters.empty()) counters += ",";
-      counters += "\"" + json::escape(metric) + "\":" + std::to_string(c->value());
+      counters += "\"";
+      counters += json::escape(metric);
+      counters += "\":";
+      counters += std::to_string(c->value());
     } else if (g != nullptr && metric.rfind(kBenchResultPrefix, 0) == 0) {
       // Per-benchmark results published by the body (google-benchmark
       // reporters, custom timing loops) via record_bench_result().
       if (!results.empty()) results += ",";
-      results += "\"" +
-                 json::escape(metric.substr(kBenchResultPrefix.size())) +
-                 "\":" + json::num(g->value());
+      results += "\"";
+      results += json::escape(metric.substr(kBenchResultPrefix.size()));
+      results += "\":";
+      results += json::num(g->value());
     } else if (g != nullptr && metric.rfind(kSweepResultPrefix, 0) == 0) {
       // Per-sweep wall time published via record_sweep_wall_ms().
       if (!sweeps.empty()) sweeps += ",";
-      sweeps += "\"" +
-                json::escape(metric.substr(kSweepResultPrefix.size())) +
-                "\":" + json::num(g->value());
+      sweeps += "\"";
+      sweeps += json::escape(metric.substr(kSweepResultPrefix.size()));
+      sweeps += "\":";
+      sweeps += json::num(g->value());
     } else if (h != nullptr && metric.rfind("timers.", 0) == 0) {
       if (!timers.empty()) timers += ",";
-      timers += "\"" + json::escape(metric) + "\":{\"count\":" +
-                std::to_string(h->count()) + ",\"total\":" + json::num(h->sum()) +
+      timers += "\"";
+      timers += json::escape(metric);
+      timers += "\":{\"count\":" + std::to_string(h->count()) +
+                ",\"total\":" + json::num(h->sum()) +
                 ",\"mean\":" + json::num(h->mean()) +
                 ",\"p95\":" + json::num(h->quantile(0.95)) + "}";
     }

@@ -22,7 +22,11 @@ std::string histogram_json(const Histogram& h) {
   for (const auto& [edge, count] : h.nonzero_buckets()) {
     if (!first) out += ",";
     first = false;
-    out += "[" + json::num(edge) + "," + std::to_string(count) + "]";
+    out += "[";
+    out += json::num(edge);
+    out += ",";
+    out += std::to_string(count);
+    out += "]";
   }
   out += "]}";
   return out;
@@ -36,14 +40,22 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
                         const Gauge* g, const Histogram* h) {
     if (c != nullptr) {
       if (!counters.empty()) counters += ",";
-      counters += "\"" + json::escape(name) + "\":" + std::to_string(c->value());
+      counters += "\"";
+      counters += json::escape(name);
+      counters += "\":";
+      counters += std::to_string(c->value());
     } else if (g != nullptr) {
       if (!gauges.empty()) gauges += ",";
-      gauges += "\"" + json::escape(name) + "\":{\"value\":" +
-                json::num(g->value()) + ",\"max\":" + json::num(g->max()) + "}";
+      gauges += "\"";
+      gauges += json::escape(name);
+      gauges += "\":{\"value\":" + json::num(g->value()) +
+                ",\"max\":" + json::num(g->max()) + "}";
     } else if (h != nullptr) {
       if (!histograms.empty()) histograms += ",";
-      histograms += "\"" + json::escape(name) + "\":" + histogram_json(*h);
+      histograms += "\"";
+      histograms += json::escape(name);
+      histograms += "\":";
+      histograms += histogram_json(*h);
     }
   });
   return "{\"schema_version\":1,\"counters\":{" + counters + "},\"gauges\":{" +
@@ -93,7 +105,9 @@ std::string metrics_to_jsonl(const MetricsRegistry& registry) {
   std::string out;
   registry.for_each([&](const std::string& name, const Counter* c,
                         const Gauge* g, const Histogram* h) {
-    const std::string quoted = "\"" + json::escape(name) + "\"";
+    std::string quoted = "\"";
+    quoted += json::escape(name);
+    quoted += "\"";
     if (c != nullptr) {
       out += "{\"kind\":\"counter\",\"name\":" + quoted +
              ",\"value\":" + std::to_string(c->value()) + "}\n";

@@ -72,26 +72,13 @@
 #include "stream/receiver_buffer.h"
 #include "stream/stream_store.h"
 #include "stream/video.h"
+#include "systems/segment_ledger.h"
 #include "util/check.h"
 #include "util/stats.h"
 
 namespace cloudfog::systems {
 
 namespace {
-
-/// Per-segment bookkeeping for packet-level (deadline-scheduled) delivery.
-/// Lives in the owning shard's tracker slab; the slab handle travels with
-/// the segment as VideoSegment::delivery_tag, so every per-packet hook
-/// reaches this record (and through `slot`, the player) without a hash
-/// lookup.
-struct SegmentTracker {
-  std::size_t slot = 0;  // global player slot (players_ index)
-  TimeMs action_ms = 0.0;
-  int live_packets = 0;
-  TimeMs last_arrival = 0.0;
-  bool delivered_any = false;
-  bool measured = false;
-};
 
 /// One streaming player. Kept lean — a run holds one per active player:
 /// the game profile is a pointer into the static catalog, and the rate
@@ -179,11 +166,10 @@ struct Shard {
   // so the slab must not grow once the first event runs — every sender is
   // created in setup_senders().
   stream::SlabStore<core::SupernodeSender> packet_store;
-  // Per-segment trackers; handles travel as VideoSegment::delivery_tag.
-  // Grows freely (no tracker address ever escapes into a callback).
-  stream::SlabStore<SegmentTracker> tracker_store;
+  // Open packet-level segments, keyed by VideoSegment::delivery_tag; slots
+  // are global player slots.
+  SegmentLedger segments;
   std::map<NodeId, NodeLedger> ledger;  // NodeId order: canonical reduce
-  std::uint64_t drops = 0;
 };
 
 struct SupernodeInfo {
@@ -246,6 +232,15 @@ class StreamingEngine {
   void apply_churn(NodeId server, bool leave);
   void fail_over_segment(Shard& sh,
                          const core::DeadlineScheduler::PendingSegment& pending);
+  /// Schedules `size` kbit into the player's receive buffer at `when`
+  /// (adaptive kinds only; a no-op without a buffer).
+  void schedule_buffer_arrival(std::size_t slot, TimeMs when, Kbit size);
+  /// The segment ledgers' QoE accessor: a player's record, marked reported.
+  auto qoe_of() {
+    return [this](std::size_t slot) -> metrics::PlayerQoE& {
+      return players_[slot].report_qoe();
+    };
+  }
   void start_probe_round(std::size_t s, NodeId node,
                          const stream::VideoSegment& seg, Kbit kbit,
                          cache::EdgeCacheService::DeliverFn deliver);
@@ -322,7 +317,9 @@ void StreamingEngine::setup_players() {
     ps.profile = &game::game_by_id(scenario_.player_game(pa.pop_index));
     ps.assignment = pa;
     ps.level = ps.profile->target_quality_level;
-    ps.rng = jitter_base_.fork("p" + std::to_string(pa.pop_index));
+    std::string stream_name = "p";
+    stream_name += std::to_string(pa.pop_index);
+    ps.rng = jitter_base_.fork(stream_name);
     ps.loss_prob = topo.server_loss_probability(pa.server, ps.host);
     if (params.tcp_window_kbit > 0.0) {
       const TimeMs rtt =
@@ -567,28 +564,18 @@ void StreamingEngine::setup_senders() {
               }),
           jitter_base_.fork("sn" + std::to_string(server)));
       core::SupernodeSender& sender = sh.packet_store.get(handle);
-      // The delivery tag is the tracker slab handle: every per-packet hook
-      // reaches its player's state with two array indexes, never a hash.
+      // The delivery tag is the segment ledger's slab handle: every
+      // per-packet hook reaches its player's state with two array indexes,
+      // never a hash.
       sender.set_rate_cap([this, s](NodeId, std::uint64_t tag) {
-        return players_[shards_[s]->tracker_store.get(tag).slot].wan_cap_kbps;
+        return players_[shards_[s]->segments.slot(tag)].wan_cap_kbps;
       });
       sender.set_loss_model([this, s](NodeId, std::uint64_t tag) {
-        return players_[shards_[s]->tracker_store.get(tag).slot].loss_prob;
+        return players_[shards_[s]->segments.slot(tag)].loss_prob;
       });
       sender.set_drop_observer(
           [this, s](const stream::VideoSegment& seg, int) {
-            Shard& owner = *shards_[s];
-            if (!owner.tracker_store.contains(seg.delivery_tag)) return;
-            SegmentTracker& t = owner.tracker_store.get(seg.delivery_tag);
-            --t.live_packets;
-            if (t.measured) ++owner.drops;
-            if (t.live_packets <= 0) {
-              if (t.delivered_any && t.measured) {
-                metrics::add_latency(players_[t.slot].report_qoe(),
-                                     t.last_arrival - t.action_ms);
-              }
-              owner.tracker_store.destroy(seg.delivery_tag);
-            }
+            shards_[s]->segments.on_drop(seg.delivery_tag, qoe_of());
           });
       if (sh.cache) sender.attach_segment_cache(&*sh.cache, server);
       sh.packet.emplace(server, handle);
@@ -753,66 +740,37 @@ void StreamingEngine::submit_fluid(std::size_t slot,
         sched.sent_by(seg.deadline_ms - prop, seg.size_kbit) * (1.0 - loss);
     metrics::add_units(qoe, seg.size_kbit, on_time);
   }
-  if (ps.buffer != stream::kNullHandle) {
-    const Kbit size = seg.size_kbit;
-    sh.sim->schedule_at(last_arrival, [this, slot, size] {
-      ShardPlayer& p = players_[slot];
-      Shard& owner = *shards_[p.shard];
-      owner.buffer_store.get(p.buffer).on_arrival(owner.sim->now(), size);
-    });
-  }
+  schedule_buffer_arrival(slot, last_arrival, seg.size_kbit);
 }
 
 void StreamingEngine::submit_packet(std::size_t slot,
                                     stream::VideoSegment seg) {
   ShardPlayer& ps = players_[slot];
   Shard& sh = *shards_[ps.shard];
-  const stream::StoreHandle tag = sh.tracker_store.create();
-  SegmentTracker& tracker = sh.tracker_store.get(tag);
-  tracker.slot = slot;
-  tracker.action_ms = seg.action_time_ms;
-  tracker.live_packets = stream::packet_count(seg.size_kbit);
-  tracker.measured = in_window(seg.action_time_ms);
-  if (tracker.measured) {
-    ps.report_qoe().units_total += static_cast<double>(tracker.live_packets);
-  }
-  seg.delivery_tag = tag;
-  // submit() may fire the drop observer, which can destroy trackers (this
-  // one included) — don't touch `tracker` past this point.
+  seg.delivery_tag = sh.segments.open(
+      slot, seg.action_time_ms, stream::packet_count(seg.size_kbit),
+      in_window(seg.action_time_ms), qoe_of());
   sh.packet_store.get(ps.packet_sender).submit(seg);
 }
 
 void StreamingEngine::on_packet_delivery(std::size_t s,
                                          const core::PacketDelivery& d) {
   Shard& sh = *shards_[s];
-  if (!sh.tracker_store.contains(d.delivery_tag)) return;
-  SegmentTracker& tracker = sh.tracker_store.get(d.delivery_tag);
-  const std::size_t slot = tracker.slot;
-  ShardPlayer& ps = players_[slot];
-  if (tracker.measured && d.on_time()) {
-    ps.report_qoe().units_on_time += 1.0;
-  }
-  if (!d.lost) {
-    tracker.delivered_any = true;
-    tracker.last_arrival = std::max(tracker.last_arrival, d.arrival_ms);
-  }
-  --tracker.live_packets;
-  if (tracker.live_packets <= 0) {
-    if (tracker.measured && tracker.delivered_any) {
-      metrics::add_latency(ps.report_qoe(),
-                           tracker.last_arrival - tracker.action_ms);
-    }
-    sh.tracker_store.destroy(d.delivery_tag);
-  }
-  if (ps.buffer != stream::kNullHandle && !d.lost) {
-    const Kbit size = d.size_kbit;
-    const TimeMs when = std::max(d.arrival_ms, sh.sim->now());
-    sh.sim->schedule_at(when, [this, slot, size] {
-      ShardPlayer& p = players_[slot];
-      Shard& owner = *shards_[p.shard];
-      owner.buffer_store.get(p.buffer).on_arrival(owner.sim->now(), size);
-    });
-  }
+  const std::size_t slot = sh.segments.on_delivery(d, qoe_of());
+  if (slot == SegmentLedger::kUnknown || d.lost) return;
+  schedule_buffer_arrival(slot, std::max(d.arrival_ms, sh.sim->now()),
+                          d.size_kbit);
+}
+
+void StreamingEngine::schedule_buffer_arrival(std::size_t slot, TimeMs when,
+                                              Kbit size) {
+  const ShardPlayer& ps = players_[slot];
+  if (ps.buffer == stream::kNullHandle) return;
+  shards_[ps.shard]->sim->schedule_at(when, [this, slot, size] {
+    ShardPlayer& p = players_[slot];
+    Shard& owner = *shards_[p.shard];
+    owner.buffer_store.get(p.buffer).on_arrival(owner.sim->now(), size);
+  });
 }
 
 void StreamingEngine::adaptation_tick(std::size_t slot) {
@@ -849,7 +807,7 @@ void StreamingEngine::apply_churn(NodeId server, bool leave) {
       // The departing sender abandons its queued backlog; each segment's
       // unsent remainder streams from the owning player's home DC through
       // the failover fluid queue. The in-flight packet (if any) still
-      // completes on the old path and settles its tracker normally.
+      // completes on the old path and settles its segment normally.
       core::SupernodeSender& sender =
           sh.packet_store.get(sh.packet.at(server));
       for (const core::DeadlineScheduler::PendingSegment& pending :
@@ -869,9 +827,9 @@ void StreamingEngine::apply_churn(NodeId server, bool leave) {
 void StreamingEngine::fail_over_segment(
     Shard& sh, const core::DeadlineScheduler::PendingSegment& pending) {
   const stream::VideoSegment& seg = pending.segment;
-  if (!sh.tracker_store.contains(seg.delivery_tag)) return;
-  SegmentTracker& tracker = sh.tracker_store.get(seg.delivery_tag);
-  ShardPlayer& ps = players_[tracker.slot];
+  if (!sh.segments.contains(seg.delivery_tag)) return;
+  const std::size_t slot = sh.segments.slot(seg.delivery_tag);
+  ShardPlayer& ps = players_[slot];
   stream::QueuedSender& fluid = sh.fluid_store.get(ps.failover_queue);
   const stream::SendSchedule sched =
       fluid.enqueue(sh.sim->now(), pending.remaining_kbit);
@@ -879,35 +837,19 @@ void StreamingEngine::fail_over_segment(
       sh.topo->sample_server_one_way_ms(ps.assignment.home_dc, ps.host, ps.rng);
   const TimeMs last_arrival = sched.end + prop;
   if (in_window(seg.action_time_ms)) ps.cloud_kbit += pending.remaining_kbit;
-  if (tracker.measured && pending.remaining_kbit > 0.0) {
-    // Fluid on-time fraction scaled to packet units and discounted by the
-    // fallback path's loss — the fluid analogue of per-packet on_time().
+  // Fluid on-time fraction scaled to packet units and discounted by the
+  // fallback path's loss — the fluid analogue of per-packet on_time().
+  double on_time_units = 0.0;
+  if (pending.remaining_kbit > 0.0) {
     const Kbit on_time_kbit =
         sched.sent_by(seg.deadline_ms - prop, pending.remaining_kbit);
-    ps.report_qoe().units_on_time +=
-        on_time_kbit / pending.remaining_kbit *
-        static_cast<double>(pending.remaining_packets) *
-        (1.0 - ps.failover_loss_prob);
+    on_time_units = on_time_kbit / pending.remaining_kbit *
+                    static_cast<double>(pending.remaining_packets) *
+                    (1.0 - ps.failover_loss_prob);
   }
-  tracker.delivered_any = true;
-  tracker.last_arrival = std::max(tracker.last_arrival, last_arrival);
-  tracker.live_packets -= pending.remaining_packets;
-  if (ps.buffer != stream::kNullHandle) {
-    const Kbit size = pending.remaining_kbit;
-    const std::size_t slot = tracker.slot;
-    sh.sim->schedule_at(last_arrival, [this, slot, size] {
-      ShardPlayer& p = players_[slot];
-      Shard& owner = *shards_[p.shard];
-      owner.buffer_store.get(p.buffer).on_arrival(owner.sim->now(), size);
-    });
-  }
-  if (tracker.live_packets <= 0) {
-    if (tracker.measured && tracker.delivered_any) {
-      metrics::add_latency(ps.report_qoe(),
-                           tracker.last_arrival - tracker.action_ms);
-    }
-    sh.tracker_store.destroy(seg.delivery_tag);
-  }
+  schedule_buffer_arrival(slot, last_arrival, pending.remaining_kbit);
+  sh.segments.on_failover(seg.delivery_tag, pending.remaining_packets,
+                          last_arrival, on_time_units, qoe_of());
 }
 
 void StreamingEngine::start_probe_round(
@@ -972,8 +914,8 @@ void StreamingEngine::post_or_local(std::size_t src, std::size_t dst,
 }
 
 StreamingResult StreamingEngine::assemble() {
-  // Trackers for segments still in flight at the horizon stay in their
-  // shard's slab; the stores die with the shards.
+  // Segments still in flight at the horizon stay open in their shard's
+  // ledger; the ledgers die with the shards.
   std::map<NodeId, NodeLedger> ledger;
   for (const auto& sh : shards_) {
     for (const auto& [node, led] : sh->ledger) ledger[node] = led;
@@ -989,7 +931,7 @@ StreamingResult StreamingEngine::assemble() {
   }
   for (const auto& [node, led] : ledger) cloud_kbit += led.window_cloud_kbit;
   std::uint64_t drops = 0;
-  for (const auto& sh : shards_) drops += sh->drops;
+  for (const auto& sh : shards_) drops += sh->segments.dropped_packets();
 
   // QoE records reduce in slot order, which is population-index order.
   metrics::QoESummary qoe;

@@ -1,9 +1,9 @@
 #include "systems/supernode_experiment.h"
 
+#include <array>
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,6 +14,7 @@
 #include "stream/queued_sender.h"
 #include "stream/receiver_buffer.h"
 #include "stream/video.h"
+#include "systems/segment_ledger.h"
 #include "util/check.h"
 #include "util/stats.h"
 
@@ -28,40 +29,57 @@ namespace {
 struct Player {
   game::GameProfile profile;
   TimeMs prop_mean_ms = 0.0;
+  std::size_t primary = 0;  // supernode index: 0 = A, 1 = B
   int level = 0;
   Kbit arrived_at_last_tick = 0.0;
   std::optional<core::RateAdaptationController> controller;
   std::optional<stream::ReceiverBuffer> buffer;
   std::optional<stream::EncoderModel> encoder;
+  metrics::PlayerQoE qoe;
+  /// Only reported players count towards the population aggregates.
+  bool qoe_reported = false;
 };
 
-struct Tracker {
-  NodeId player = kInvalidNode;
-  TimeMs action_ms = 0.0;
-  int live = 0;
-  TimeMs last_arrival = 0.0;
-  bool delivered_any = false;
-  bool measured = false;
-};
+/// Splits a segment's packets into the even-index and odd-index halves,
+/// rebuilt as two smaller segments sharing the deadline and delivery tag —
+/// the striping unit a cooperating pair transmits in parallel.
+std::array<stream::VideoSegment, 2> stripe(const stream::VideoSegment& seg) {
+  const auto packets = stream::packetize(seg);
+  std::array<stream::VideoSegment, 2> halves{seg, seg};
+  halves[0].size_kbit = 0.0;
+  halves[1].size_kbit = 0.0;
+  for (const auto& p : packets) {
+    halves[static_cast<std::size_t>(p.index % 2)].size_kbit += p.size_kbit;
+  }
+  return halves;
+}
 
 }  // namespace
 
 SupernodeExperimentResult run_supernode_experiment(
     const SupernodeExperimentConfig& config) {
-  CF_CHECK_MSG(config.num_players >= 1, "need at least one player");
+  CF_CHECK_MSG(config.supernodes == 1 || config.supernodes == 2,
+               "the experiment runs one or two supernodes");
+  CF_CHECK_MSG(config.num_players >= config.supernodes,
+               "need at least one player per supernode");
   CF_CHECK_MSG(config.uplink_kbps > 0.0, "uplink must be positive");
+  CF_CHECK_MSG(config.primary_skew >= 0.0 && config.primary_skew <= 1.0,
+               "skew must be a probability");
+  CF_CHECK_MSG(!config.enable_striping || config.supernodes == 2,
+               "striping needs two supernodes");
 
   sim::Simulator sim;
   util::Rng rng(config.seed);
   util::Rng setup_rng = rng.fork("setup");
   util::Rng jitter_rng = rng.fork("jitter");
   stream::SegmentFactory factory;
-  metrics::QoECollector qoe;
   std::vector<Player> players(config.num_players);
-  std::unordered_map<std::uint64_t, Tracker> trackers;
+  SegmentLedger ledger;
+  const auto qoe_of = [&players](std::size_t i) -> metrics::PlayerQoE& {
+    players[i].qoe_reported = true;
+    return players[i].qoe;
+  };
   util::RunningStats level_stats;
-  std::uint64_t drops = 0;
-  std::uint64_t on_time = 0;
   std::uint64_t submitted = 0;
 
   const TimeMs period = config.segment_period_ms();
@@ -75,14 +93,22 @@ SupernodeExperimentResult run_supernode_experiment(
     return t0 >= config.warmup_ms && t0 < window_end;
   };
 
-  // Player setup: balanced game mix, lognormal per-player propagation mean.
+  // Player setup: balanced game mix, lognormal per-player propagation mean,
+  // skewed primary supernode.
   const auto num_games = game::game_catalog().size();
+  Kbps offered = 0.0;
+  std::vector<Kbps> offered_by_supernode(config.supernodes, 0.0);
   for (std::size_t i = 0; i < players.size(); ++i) {
     Player& p = players[i];
     p.profile = game::game_by_id(static_cast<game::GameId>(i % num_games));
     p.prop_mean_ms =
         config.prop_mean_ms * setup_rng.lognormal(0.0, config.prop_spread_sigma);
+    if (config.supernodes == 2)
+      p.primary = setup_rng.bernoulli(config.primary_skew) ? 0 : 1;
     p.level = p.profile.target_quality_level;
+    const Kbps rate = game::quality_for_level(p.level).bitrate_kbps;
+    offered += rate;
+    offered_by_supernode[p.primary] += rate;
     if (config.use_gop_encoder) {
       auto enc_config = config.encoder;
       enc_config.fps = config.fps;
@@ -96,61 +122,42 @@ SupernodeExperimentResult run_supernode_experiment(
     }
   }
 
-  core::SupernodeSender sender(
-      sim, config.uplink_kbps,
-      config.scheduling ? core::SupernodeSender::Discipline::kDeadline
-                        : core::SupernodeSender::Discipline::kFifo,
-      config.cloudfog.scheduler,
-      [&](NodeId player, util::Rng& prop_rng) {
-        return players[player].prop_mean_ms *
-               prop_rng.lognormal(0.0, config.prop_jitter_sigma);
-      },
-      [&](const core::PacketDelivery& d) {
-        auto it = trackers.find(d.segment_id);
-        if (it == trackers.end()) return;
-        Tracker& t = it->second;
-        if (t.measured && d.on_time()) {
-          qoe.player(t.player).units_on_time += 1.0;
-          ++on_time;
-        }
-        if (!d.lost) {
-          t.delivered_any = true;
-          t.last_arrival = std::max(t.last_arrival, d.arrival_ms);
-        }
-        --t.live;
-        const NodeId who = t.player;
-        const bool measured = t.measured && t.delivered_any;
-        const TimeMs action = t.action_ms;
-        const TimeMs last = t.last_arrival;
-        if (t.live <= 0) {
-          if (measured) qoe.add_latency(who, last - action);
-          trackers.erase(it);
-        }
-        if (players[who].buffer && !d.lost) {
-          const Kbit size = d.size_kbit;
-          const TimeMs when = std::max(d.arrival_ms, sim.now());
-          sim.schedule_at(when, [&, who, size] {
-            players[who].buffer->on_arrival(sim.now(), size);
-          });
-        }
-      },
-      rng.fork("prop"));
-  if (config.network_loss_rate > 0.0) {
-    sender.set_loss_model(
-        [&](NodeId, std::uint64_t) { return config.network_loss_rate; });
-  }
-  sender.set_drop_observer([&](const stream::VideoSegment& seg, int) {
-    auto it = trackers.find(seg.id);
-    if (it == trackers.end()) return;
-    Tracker& t = it->second;
-    if (t.measured) ++drops;
-    --t.live;
-    if (t.live <= 0) {
-      if (t.delivered_any && t.measured)
-        qoe.add_latency(t.player, t.last_arrival - t.action_ms);
-      trackers.erase(it);
+  auto on_delivery = [&](const core::PacketDelivery& d) {
+    const std::size_t who = ledger.on_delivery(d, qoe_of);
+    if (who == SegmentLedger::kUnknown || d.lost || !players[who].buffer)
+      return;
+    const Kbit size = d.size_kbit;
+    const TimeMs when = std::max(d.arrival_ms, sim.now());
+    sim.schedule_at(when, [&, who, size] {
+      players[who].buffer->on_arrival(sim.now(), size);
+    });
+  };
+  // Completion events capture sender addresses: reserve so the vector
+  // never moves them.
+  std::vector<core::SupernodeSender> senders;
+  senders.reserve(config.supernodes);
+  for (std::size_t s = 0; s < config.supernodes; ++s) {
+    // RNG stream names: "prop" for one supernode, "prop0"/"prop1" for two.
+    std::string prop_stream = "prop";
+    if (config.supernodes == 2) prop_stream += std::to_string(s);
+    core::SupernodeSender& sender = senders.emplace_back(
+        sim, config.uplink_kbps,
+        config.scheduling ? core::SupernodeSender::Discipline::kDeadline
+                          : core::SupernodeSender::Discipline::kFifo,
+        config.cloudfog.scheduler,
+        [&](NodeId player, util::Rng& prop_rng) {
+          return players[player].prop_mean_ms *
+                 prop_rng.lognormal(0.0, config.prop_jitter_sigma);
+        },
+        on_delivery, rng.fork(prop_stream));
+    if (config.network_loss_rate > 0.0) {
+      sender.set_loss_model(
+          [&](NodeId, std::uint64_t) { return config.network_loss_rate; });
     }
-  });
+    sender.set_drop_observer([&](const stream::VideoSegment& seg, int) {
+      ledger.on_drop(seg.delivery_tag, qoe_of);
+    });
+  }
 
   // Per-player action/segment cadence. The event callbacks capture one
   // reference to these named stages plus the (player, t0) identity — the
@@ -170,18 +177,28 @@ SupernodeExperimentResult run_supernode_experiment(
       const double sigma = config.segment_size_sigma;
       seg.size_kbit *= jitter_rng.lognormal(-0.5 * sigma * sigma, sigma);
     }
-    Tracker t;
-    t.player = player;
-    t.action_ms = t0;
-    t.live = stream::packet_count(seg.size_kbit);
-    t.measured = in_window(t0);
-    if (t.measured) {
-      qoe.player(player).units_total += static_cast<double>(t.live);
-      submitted += static_cast<std::uint64_t>(t.live);
+    const int packets = stream::packet_count(seg.size_kbit);
+    const bool measured = in_window(t0);
+    if (measured) {
+      submitted += static_cast<std::uint64_t>(packets);
       level_stats.add(static_cast<double>(p.level));
     }
-    trackers.emplace(seg.id, t);
-    sender.submit(seg);
+    seg.delivery_tag = ledger.open(player, t0, packets, measured, qoe_of);
+    if (!config.enable_striping) {
+      senders[p.primary].submit(seg);
+      return;
+    }
+    // The halves share the segment's delivery tag, so its response latency
+    // is the arrival of the LAST packet across both paths. Their wire ids
+    // stay distinct: the deadline scheduler breaks ties on segment id.
+    auto halves = stripe(seg);
+    for (std::size_t s = 0; s < 2; ++s) {
+      if (halves[s].size_kbit <= 0.0) continue;
+      halves[s].id = seg.id * 2'000'000 + s;
+      // Half s goes to (primary + s) mod 2: the primary gets the even
+      // half, the partner the odd one.
+      senders[(p.primary + s) % 2].submit(halves[s]);
+    }
   };
   auto player_tick = [&](NodeId player) {
     const TimeMs t0 = sim.now();
@@ -206,10 +223,7 @@ SupernodeExperimentResult run_supernode_experiment(
       submit_segment(player, t0);
     });
   };
-  Kbps offered = 0.0;
   for (std::size_t i = 0; i < players.size(); ++i) {
-    offered +=
-        game::quality_for_level(players[i].profile.target_quality_level).bitrate_kbps;
     const auto player = static_cast<NodeId>(i);
     const TimeMs phase = setup_rng.uniform(0.0, period);
     sim.schedule_every(phase, period,
@@ -244,16 +258,23 @@ SupernodeExperimentResult run_supernode_experiment(
 
   sim.run_until(window_end + config.drain_ms);
 
+  // Players are dense 0..N-1: index order is the canonical reduce order.
+  metrics::QoESummary qoe;
+  for (const Player& p : players) {
+    if (p.qoe_reported) qoe.add(p.qoe);
+  }
   SupernodeExperimentResult result;
   result.satisfied_fraction = qoe.satisfied_fraction();
   result.mean_continuity = qoe.mean_continuity();
   result.mean_response_latency_ms = qoe.mean_response_latency_ms();
   result.mean_quality_level = level_stats.mean();
   result.packets_submitted = submitted;
-  result.packets_on_time = on_time;
-  result.packets_dropped = drops;
+  result.packets_on_time = ledger.on_time_packets();
+  result.packets_dropped = ledger.dropped_packets();
   result.offered_kbps = offered;
   result.uplink_kbps = config.uplink_kbps;
+  for (const Kbps kbps : offered_by_supernode)
+    result.supernode_load.push_back(kbps / config.uplink_kbps);
   return result;
 }
 

@@ -1,4 +1,5 @@
-// Single-supernode packet-level experiment — paper Figures 10 and 11.
+// Packet-level supernode experiment — paper Figures 10 and 11, and the X4
+// cooperation extension.
 //
 // One supernode with a fixed uplink serves K players (the paper sweeps
 // K = 5..25). Each player runs one of the five catalog games (round-robin,
@@ -13,9 +14,22 @@
 //
 // A player is satisfied when >= 95% of its packets arrive within its game's
 // response latency (the paper's definition).
+//
+// With `supernodes = 2` the same harness runs the second half of the
+// paper's Section-V future work: "cooperation among supernodes in
+// rendering and *transmitting* game videos to further reduce response
+// latency". Supernodes A and B, each with `uplink_kbps`, serve one player
+// pool; each player's primary is A with probability `primary_skew` (A is
+// the hot one). Without striping a player's segments go entirely through
+// its primary. With `enable_striping` each segment's packets are split
+// across A and B, so a hot primary sheds half of every segment to its
+// neighbour and the last-packet arrival follows the less congested path.
+// Every other knob (discipline, adaptation, loss, render stage) applies to
+// both supernodes; the render stage stays one shared GPU.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/cloudfog_config.h"
 #include "exec/run_executor.h"
@@ -25,8 +39,14 @@
 namespace cloudfog::systems {
 
 struct SupernodeExperimentConfig {
-  std::size_t num_players = 15;
-  Kbps uplink_kbps = 23'000.0;  // supernode upload capacity
+  std::size_t num_players = 15;  // across all supernodes
+  Kbps uplink_kbps = 23'000.0;  // upload capacity of each supernode
+  /// 1 (Figures 10/11) or 2 (the X4 cooperation pair).
+  std::size_t supernodes = 1;
+  /// Two supernodes only: the probability that a player's primary is A.
+  double primary_skew = 0.85;
+  /// Two supernodes only: stripe each segment's packets across both.
+  bool enable_striping = false;
   TimeMs warmup_ms = 6'000.0;  // lets the adaptation loop converge
   TimeMs duration_ms = 30'000.0;
   TimeMs drain_ms = 1'000.0;
@@ -85,9 +105,11 @@ struct SupernodeExperimentResult {
   std::uint64_t packets_submitted = 0;
   std::uint64_t packets_on_time = 0;
   std::uint64_t packets_dropped = 0;
-  double offered_load() const;  // vs uplink, diagnostic
-  Kbps offered_kbps = 0.0;
-  Kbps uplink_kbps = 0.0;
+  double offered_load() const;  // offered_kbps vs uplink_kbps, diagnostic
+  Kbps offered_kbps = 0.0;  // all players at their target levels
+  Kbps uplink_kbps = 0.0;   // of each supernode
+  /// Per supernode: its primary players' target bitrates vs its uplink.
+  std::vector<double> supernode_load;
 };
 
 SupernodeExperimentResult run_supernode_experiment(

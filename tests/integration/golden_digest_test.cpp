@@ -1,19 +1,21 @@
-// Golden streaming digests: small run_streaming configurations whose QoE
-// digests are pinned to constants. Every other digest contract compares two
-// runs of the same build (repeat, jobs, shards, obs on/off), so a change
-// that moves every run the same way — a performance rewrite that reorders a
-// floating-point sum, an extra RNG draw — passes them all. This test does
-// not: a refactor that claims to be behaviour-preserving must reproduce
-// these exact values. A deliberate behaviour change re-records them and
-// says so.
+// Golden digests: small run_streaming and packet-level experiment
+// configurations whose result digests are pinned to constants. Every other
+// digest contract compares two runs of the same build (repeat, jobs,
+// shards, obs on/off), so a change that moves every run the same way — a
+// performance rewrite that reorders a floating-point sum, an extra RNG
+// draw — passes them all. This test does not: a refactor that claims to
+// be behaviour-preserving must reproduce these exact values. A deliberate
+// behaviour change re-records them and says so.
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "systems/streaming_sim.h"
+#include "systems/supernode_experiment.h"
 #include "qoe_digest.h"
 
 namespace cloudfog::systems {
@@ -131,6 +133,107 @@ TEST(GoldenDigest, ScheduledChurnMatchesPinnedValue) {
     const std::uint64_t got = qoe_digest(run_scheduled_churn(shards));
     EXPECT_EQ(got, kScheduledChurnDigest)
         << "K = " << shards << ": digest " << hex(got);
+  }
+}
+
+
+// The packet-level experiment (Fig 10/11 and, with two supernodes, the X4
+// cooperation extension) builds its own simulator, so the streaming
+// digests above do not cover it. Each case below folds every result field
+// the experiment reported when the constants were recorded.
+
+struct ExperimentCase {
+  const char* name;
+  SupernodeExperimentConfig config;
+  std::uint64_t digest;
+};
+
+SupernodeExperimentConfig fig_config(bool adaptation, bool scheduling) {
+  SupernodeExperimentConfig c;
+  c.num_players = 25;
+  c.warmup_ms = 4'000.0;
+  c.duration_ms = 8'000.0;
+  c.adaptation = adaptation;
+  c.scheduling = scheduling;
+  return c;
+}
+
+std::uint64_t experiment_digest(const SupernodeExperimentResult& r) {
+  Fnv1a h;
+  h.mix_double(r.satisfied_fraction);
+  h.mix_double(r.mean_continuity);
+  h.mix_double(r.mean_response_latency_ms);
+  h.mix_double(r.mean_quality_level);
+  h.mix(r.packets_submitted);
+  h.mix(r.packets_on_time);
+  h.mix(r.packets_dropped);
+  h.mix_double(r.offered_kbps);
+  h.mix_double(r.uplink_kbps);
+  return h.value;
+}
+
+std::vector<ExperimentCase> fig_cases() {
+  std::vector<ExperimentCase> cases{
+      {"B", fig_config(false, false), 0xcb600941bddce1e8ull},
+      {"adapt", fig_config(true, false), 0xbb2e5afaa63776b7ull},
+      {"schedule", fig_config(false, true), 0xda66e4c033c2c247ull},
+      {"A", fig_config(true, true), 0xf6f009c4a7e7c417ull},
+      {"schedule+loss", fig_config(false, true), 0xcd8f1d4600ce6775ull},
+      {"adapt+render", fig_config(true, false), 0xc978426388fbe7acull},
+      {"adapt+gop", fig_config(true, false), 0x543843b7529a13d1ull},
+  };
+  cases[4].config.network_loss_rate = 0.02;
+  cases[5].config.num_players = 20;
+  cases[5].config.render_capacity_mpx_per_s = 250.0;
+  cases[6].config.use_gop_encoder = true;
+  return cases;
+}
+
+TEST(GoldenDigest, SupernodeExperimentsMatchPinnedValues) {
+  for (const ExperimentCase& c : fig_cases()) {
+    const SupernodeExperimentResult r = run_supernode_experiment(c.config);
+    EXPECT_GT(r.packets_submitted, 10'000u) << c.name;
+    // Not a vacuous pin: without adaptation the deadline scheduler really
+    // drops packets at this load.
+    if (c.config.scheduling && !c.config.adaptation) {
+      EXPECT_GT(r.packets_dropped, 0u) << c.name;
+    }
+    const std::uint64_t got = experiment_digest(r);
+    EXPECT_EQ(got, c.digest) << c.name << ": digest " << hex(got);
+  }
+}
+
+TEST(GoldenDigest, CooperationExperimentsMatchPinnedValues) {
+  struct CoopCase {
+    double skew;
+    bool striping;
+    std::uint64_t digest;
+  };
+  constexpr CoopCase kCases[] = {
+      {0.5, false, 0x18a9344658714d00ull},
+      {0.5, true, 0xfa9afc12d3eab406ull},
+      {0.95, false, 0x666653ac3c482ccfull},
+      {0.95, true, 0xd85df85f3c9ead09ull},
+  };
+  for (const CoopCase& c : kCases) {
+    SupernodeExperimentConfig config;
+    config.supernodes = 2;
+    config.num_players = 24;
+    config.uplink_kbps = 16'000.0;
+    config.primary_skew = c.skew;
+    config.enable_striping = c.striping;
+    config.warmup_ms = 3'000.0;
+    config.duration_ms = 8'000.0;
+    const SupernodeExperimentResult r = run_supernode_experiment(config);
+    Fnv1a h;
+    h.mix_double(r.satisfied_fraction);
+    h.mix_double(r.mean_continuity);
+    h.mix_double(r.mean_response_latency_ms);
+    h.mix_double(r.supernode_load[0]);
+    h.mix_double(r.supernode_load[1]);
+    EXPECT_EQ(h.value, c.digest)
+        << "skew " << c.skew << " striping " << c.striping << ": digest "
+        << hex(h.value);
   }
 }
 

@@ -1,5 +1,5 @@
 // The "QoE digest": FNV-1a over the exact bit patterns of every field of a
-// StreamingResult. Two runs agree iff every metric is bit-identical.
+// result. Two runs agree iff every metric is bit-identical.
 #pragma once
 
 #include <bit>
@@ -10,17 +10,23 @@
 
 namespace cloudfog::systems {
 
-inline std::uint64_t qoe_digest(const StreamingResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
+/// FNV-1a over the little-endian bytes of each mixed 64-bit value.
+struct Fnv1a {
+  std::uint64_t value = 0xcbf29ce484222325ull;
+
+  void mix(std::uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xffu;
-      h *= 0x100000001b3ull;
+      value ^= (v >> (byte * 8)) & 0xffu;
+      value *= 0x100000001b3ull;
     }
-  };
-  const auto mix_double = [&mix](double d) {
-    mix(std::bit_cast<std::uint64_t>(d));
-  };
+  }
+  void mix_double(double d) { mix(std::bit_cast<std::uint64_t>(d)); }
+};
+
+inline std::uint64_t qoe_digest(const StreamingResult& r) {
+  Fnv1a h;
+  const auto mix = [&h](std::uint64_t v) { h.mix(v); };
+  const auto mix_double = [&h](double d) { h.mix_double(d); };
   mix_double(r.mean_response_latency_ms);
   mix_double(r.p95_response_latency_ms);
   mix_double(r.mean_continuity);
@@ -46,7 +52,7 @@ inline std::uint64_t qoe_digest(const StreamingResult& r) {
   mix_double(r.cache.bytes_edge_kbit);
   mix_double(r.cache.bytes_cloud_kbit);
   mix_double(r.cache.bytes_peer_kbit);
-  return h;
+  return h.value;
 }
 
 }  // namespace cloudfog::systems

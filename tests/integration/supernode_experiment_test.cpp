@@ -1,5 +1,6 @@
-// Integration tests of the single-supernode packet-level experiment (paper
-// Figures 10 and 11).
+// Integration tests of the packet-level supernode experiment: one
+// supernode (paper Figures 10 and 11) and the two-supernode cooperation
+// extension (X4).
 #include "systems/supernode_experiment.h"
 
 #include <gtest/gtest.h>
@@ -148,6 +149,83 @@ TEST(SupernodeExperiment, RejectsBadConfig) {
   EXPECT_THROW(run_supernode_experiment(c), std::logic_error);
   auto c2 = quick(5);
   c2.uplink_kbps = 0.0;
+  EXPECT_THROW(run_supernode_experiment(c2), std::logic_error);
+}
+
+TEST(SupernodeExperiment, RejectsUnsupportedSupernodeSetups) {
+  auto three = quick(6);
+  three.supernodes = 3;
+  EXPECT_THROW(run_supernode_experiment(three), std::logic_error);
+  auto none = quick(6);
+  none.supernodes = 0;
+  EXPECT_THROW(run_supernode_experiment(none), std::logic_error);
+  auto striped = quick(6);
+  striped.enable_striping = true;  // one supernode has no partner
+  EXPECT_THROW(run_supernode_experiment(striped), std::logic_error);
+}
+
+TEST(SupernodeExperiment, OneSupernodeCarriesTheWholeLoad) {
+  const auto r = run_supernode_experiment(quick(10));
+  ASSERT_EQ(r.supernode_load.size(), 1u);
+  EXPECT_EQ(r.supernode_load[0], r.offered_load());
+}
+
+// --- Two supernodes: the X4 cooperation extension ---------------------------
+
+SupernodeExperimentConfig coop(double skew, bool striping) {
+  SupernodeExperimentConfig c;
+  c.supernodes = 2;
+  c.num_players = 24;
+  c.uplink_kbps = 16'000.0;
+  c.primary_skew = skew;
+  c.enable_striping = striping;
+  c.warmup_ms = 3'000.0;
+  c.duration_ms = 8'000.0;
+  return c;
+}
+
+TEST(CooperationExperiment, BalancedLoadRunsClean) {
+  const auto r = run_supernode_experiment(coop(0.5, false));
+  EXPECT_GT(r.satisfied_fraction, 0.8);
+  EXPECT_GT(r.mean_continuity, 0.9);
+  // Pair-average utilization sits below 1: the pair has slack even though
+  // a skewed single assignment can overload one member.
+  ASSERT_EQ(r.supernode_load.size(), 2u);
+  EXPECT_NEAR((r.supernode_load[0] + r.supernode_load[1]) / 2.0, 0.7, 0.2);
+}
+
+TEST(CooperationExperiment, SkewOverloadsThePrimary) {
+  const auto r = run_supernode_experiment(coop(0.95, false));
+  EXPECT_GT(r.supernode_load[0], 2.0 * r.supernode_load[1]);
+  EXPECT_LT(r.satisfied_fraction, 0.6);
+}
+
+TEST(CooperationExperiment, StripingRecoversSkewedLoad) {
+  const auto single = run_supernode_experiment(coop(0.95, false));
+  const auto striped = run_supernode_experiment(coop(0.95, true));
+  EXPECT_GT(striped.satisfied_fraction, single.satisfied_fraction + 0.2);
+  EXPECT_LT(striped.mean_response_latency_ms,
+            single.mean_response_latency_ms);
+}
+
+TEST(CooperationExperiment, StripingNearNeutralWhenBalanced) {
+  const auto single = run_supernode_experiment(coop(0.5, false));
+  const auto striped = run_supernode_experiment(coop(0.5, true));
+  EXPECT_NEAR(striped.satisfied_fraction, single.satisfied_fraction, 0.15);
+}
+
+TEST(CooperationExperiment, Deterministic) {
+  const auto r1 = run_supernode_experiment(coop(0.8, true));
+  const auto r2 = run_supernode_experiment(coop(0.8, true));
+  EXPECT_DOUBLE_EQ(r1.satisfied_fraction, r2.satisfied_fraction);
+  EXPECT_DOUBLE_EQ(r1.mean_response_latency_ms, r2.mean_response_latency_ms);
+}
+
+TEST(CooperationExperiment, RejectsBadConfig) {
+  auto c = coop(0.5, false);
+  c.num_players = 1;
+  EXPECT_THROW(run_supernode_experiment(c), std::logic_error);
+  auto c2 = coop(1.5, false);
   EXPECT_THROW(run_supernode_experiment(c2), std::logic_error);
 }
 

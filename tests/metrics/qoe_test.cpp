@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace cloudfog::metrics {
 namespace {
@@ -32,57 +33,66 @@ TEST(PlayerQoE, SatisfactionThresholdExactlyAtBoundary) {
   EXPECT_TRUE(q.satisfied());  // paper: ">= 95%"
 }
 
+// The QoECollector suite: population aggregates over per-player records,
+// reduced through QoESummary in index order, as the simulations report them.
+
+QoESummary summarize(const std::vector<PlayerQoE>& players,
+                     double threshold = kSatisfactionThreshold) {
+  QoESummary summary(threshold);
+  for (const PlayerQoE& q : players) summary.add(q);
+  return summary;
+}
+
 TEST(QoECollector, LatencyAggregation) {
-  QoECollector c;
-  c.add_latency(1, 50.0);
-  c.add_latency(1, 150.0);
-  c.add_latency(2, 200.0);
+  std::vector<PlayerQoE> players(2);
+  add_latency(players[0], 50.0);
+  add_latency(players[0], 150.0);
+  add_latency(players[1], 200.0);
   // Mean of per-player means: (100 + 200) / 2.
-  EXPECT_DOUBLE_EQ(c.mean_response_latency_ms(), 150.0);
-  EXPECT_EQ(c.player_count(), 2u);
+  EXPECT_DOUBLE_EQ(summarize(players).mean_response_latency_ms(), 150.0);
 }
 
 TEST(QoECollector, PlayersWithoutLatencySamplesExcludedFromMean) {
-  QoECollector c;
-  c.add_latency(1, 100.0);
-  c.add_units(2, 10.0, 10.0);  // player 2 has units but no latency sample
-  EXPECT_DOUBLE_EQ(c.mean_response_latency_ms(), 100.0);
+  std::vector<PlayerQoE> players(2);
+  add_latency(players[0], 100.0);
+  add_units(players[1], 10.0, 10.0);  // units but no latency sample
+  EXPECT_DOUBLE_EQ(summarize(players).mean_response_latency_ms(), 100.0);
 }
 
 TEST(QoECollector, ContinuityAndSatisfaction) {
-  QoECollector c;
-  c.add_units(1, 100.0, 100.0);  // satisfied
-  c.add_units(2, 100.0, 50.0);   // not satisfied
-  EXPECT_DOUBLE_EQ(c.mean_continuity(), 0.75);
-  EXPECT_DOUBLE_EQ(c.satisfied_fraction(), 0.5);
+  std::vector<PlayerQoE> players(2);
+  add_units(players[0], 100.0, 100.0);  // satisfied
+  add_units(players[1], 100.0, 50.0);   // not satisfied
+  EXPECT_DOUBLE_EQ(summarize(players).mean_continuity(), 0.75);
+  EXPECT_DOUBLE_EQ(summarize(players).satisfied_fraction(), 0.5);
 }
 
 TEST(QoECollector, UnitsAccumulateAcrossCalls) {
-  QoECollector c;
-  c.add_units(1, 10.0, 10.0);
-  c.add_units(1, 10.0, 0.0);
-  EXPECT_DOUBLE_EQ(c.player(1).continuity(), 0.5);
+  PlayerQoE q;
+  add_units(q, 10.0, 10.0);
+  add_units(q, 10.0, 0.0);
+  EXPECT_DOUBLE_EQ(q.continuity(), 0.5);
 }
 
 TEST(QoECollector, EmptyCollectorDefaults) {
-  QoECollector c;
-  EXPECT_DOUBLE_EQ(c.mean_response_latency_ms(), 0.0);
-  EXPECT_DOUBLE_EQ(c.mean_continuity(), 1.0);
-  EXPECT_DOUBLE_EQ(c.satisfied_fraction(), 1.0);
+  const QoESummary empty;
+  EXPECT_DOUBLE_EQ(empty.mean_response_latency_ms(), 0.0);
+  EXPECT_DOUBLE_EQ(empty.mean_continuity(), 1.0);
+  EXPECT_DOUBLE_EQ(empty.satisfied_fraction(), 1.0);
 }
 
 TEST(QoECollector, CustomThreshold) {
-  QoECollector c;
-  c.add_units(1, 100.0, 80.0);
-  EXPECT_DOUBLE_EQ(c.satisfied_fraction(0.75), 1.0);
-  EXPECT_DOUBLE_EQ(c.satisfied_fraction(0.90), 0.0);
+  std::vector<PlayerQoE> players(1);
+  add_units(players[0], 100.0, 80.0);
+  EXPECT_DOUBLE_EQ(summarize(players, 0.75).satisfied_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(summarize(players, 0.90).satisfied_fraction(), 0.0);
 }
 
 TEST(QoECollector, RejectsInvalidInputs) {
-  QoECollector c;
-  EXPECT_THROW(c.add_latency(1, -1.0), std::logic_error);
-  EXPECT_THROW(c.add_units(1, 10.0, 11.0), std::logic_error);
-  EXPECT_THROW(c.add_units(1, -1.0, 0.0), std::logic_error);
+  PlayerQoE q;
+  EXPECT_THROW(add_latency(q, -1.0), std::logic_error);
+  EXPECT_THROW(add_units(q, 10.0, 11.0), std::logic_error);
+  EXPECT_THROW(add_units(q, -1.0, 0.0), std::logic_error);
 }
 
 TEST(PlayerQoE, FreeRecordersRejectInvalidInputsWithTheCollectorsMessages) {
@@ -95,9 +105,6 @@ TEST(PlayerQoE, FreeRecordersRejectInvalidInputsWithTheCollectorsMessages) {
     }
     return std::string("no throw");
   };
-  QoECollector c;
-  EXPECT_EQ(message([&] { add_latency(q, -1.0); }),
-            message([&] { c.add_latency(1, -1.0); }));
   EXPECT_NE(message([&] { add_latency(q, -1.0); }).find(
                 "latency must be non-negative"),
             std::string::npos);
@@ -108,7 +115,6 @@ TEST(PlayerQoE, FreeRecordersRejectInvalidInputsWithTheCollectorsMessages) {
     EXPECT_NE(free_msg.find("on-time units must lie in [0, total]"),
               std::string::npos)
         << total << " " << on_time;
-    EXPECT_EQ(free_msg, message([&] { c.add_units(1, total, on_time); }));
   }
   // Nothing was recorded by the rejected calls.
   EXPECT_EQ(q.response_latency_ms.count(), 0u);
@@ -126,26 +132,17 @@ TEST(PlayerQoE, FreeRecordersAccumulate) {
   EXPECT_DOUBLE_EQ(q.units_on_time, 10.0);
 }
 
-TEST(QoESummary, MatchesTheCollectorsAggregates) {
-  QoECollector c;
-  QoESummary summary;
-  c.add_latency(3, 80.0);
-  c.add_units(3, 100.0, 97.0);
-  c.add_units(5, 100.0, 40.0);  // no latency sample
-  c.add_latency(9, 20.0);
-  for (const auto& [id, q] : c.all()) summary.add(q);
-  EXPECT_EQ(summary.mean_response_latency_ms(), c.mean_response_latency_ms());
-  EXPECT_EQ(summary.mean_continuity(), c.mean_continuity());
-  EXPECT_EQ(summary.satisfied_fraction(), c.satisfied_fraction());
+TEST(QoESummary, ReducesRecordsToThePopulationAggregates) {
+  std::vector<PlayerQoE> players(3);
+  add_latency(players[0], 80.0);
+  add_units(players[0], 100.0, 97.0);
+  add_units(players[1], 100.0, 40.0);  // no latency sample
+  add_latency(players[2], 20.0);
+  const QoESummary summary = summarize(players);
   EXPECT_DOUBLE_EQ(summary.mean_response_latency_ms(), 50.0);
+  EXPECT_DOUBLE_EQ(summary.mean_continuity(), (0.97 + 0.4 + 1.0) / 3.0);
+  EXPECT_DOUBLE_EQ(summary.satisfied_fraction(), 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(QoESummary(0.3).satisfied_fraction(), 1.0);
-}
-
-TEST(QoECollector, DirectPlayerAccessCreatesEntry) {
-  QoECollector c;
-  c.player(5).units_total += 1.0;
-  EXPECT_EQ(c.player_count(), 1u);
-  EXPECT_DOUBLE_EQ(c.player(5).continuity(), 0.0);
 }
 
 }  // namespace

@@ -33,7 +33,9 @@ TEST(TraceRecorderTest, RecordsAndCounts) {
 TEST(TraceRecorderTest, CapacityDropsAreCountedNotFatal) {
   TraceRecorder t(2);
   for (int i = 0; i < 5; ++i) {
-    t.instant("e" + std::to_string(i), "x", static_cast<double>(i), kSimTrack);
+    std::string name = "e";
+    name += std::to_string(i);
+    t.instant(name, "x", static_cast<double>(i), kSimTrack);
   }
   EXPECT_EQ(t.event_count(), 2u);
   EXPECT_EQ(t.dropped_count(), 3u);
