@@ -89,7 +89,7 @@ BENCHMARK(BM_SimulatorSteadyState);
 
 void BM_SimulatorCancelChurn(benchmark::State& state) {
   // Schedule a batch, cancel half of it, run the survivors — exercises
-  // handle lookup, tombstoning and the eager heap purge.
+  // handle lookup, tombstoning and the eager tombstone purge.
   for (auto _ : state) {
     sim::Simulator sim;
     std::vector<sim::EventId> ids;
@@ -104,6 +104,32 @@ void BM_SimulatorCancelChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1'000);
 }
 BENCHMARK(BM_SimulatorCancelChurn);
+
+void BM_SimulatorRoster(benchmark::State& state) {
+  // The streaming engine's event mix with no model: one periodic segment
+  // tick per player at a random phase, each fire scheduling a one-shot
+  // follow-up (the segment's delivery) 20-120 ms later. About two events
+  // stay pending per player, so the pending set grows with the roster.
+  // One iteration fires one event.
+  constexpr TimeMs kPeriod = 1000.0 / 15.0;
+  sim::Simulator sim;
+  util::Rng rng(7);
+  std::uint64_t delivered = 0;
+  for (std::int64_t p = 0; p < state.range(0); ++p) {
+    sim.schedule_every(rng.uniform(0.0, kPeriod), kPeriod,
+                       [&sim, &rng, &delivered] {
+                         sim.schedule_after(rng.uniform(20.0, 120.0),
+                                            [&delivered] { ++delivered; });
+                       });
+  }
+  sim.run_until(4 * kPeriod);  // warm: every follow-up stream in flight
+  for (auto _ : state) {
+    sim.step();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimulatorRoster)->Arg(1'000)->Arg(20'000)->Arg(100'000);
 
 void BM_RngUniform(benchmark::State& state) {
   util::Rng rng(1);

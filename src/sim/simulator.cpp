@@ -1,6 +1,8 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -8,6 +10,21 @@
 #include "util/check.h"
 
 namespace cloudfog::sim {
+
+namespace {
+
+/// Bucket count floor: small queues never resize.
+constexpr std::size_t kMinBuckets = 16;
+/// Queue times sampled per resize to estimate the slice width.
+constexpr std::size_t kWidthSample = 64;
+/// Target nodes per slice at the front of the queue.
+constexpr double kNodesPerSlice = 3.0;
+
+}  // namespace
+
+Simulator::Simulator()
+    : buckets_(kMinBuckets), mask_(kMinBuckets - 1),
+      grow_at_(2 * kMinBuckets) {}
 
 EventId Simulator::schedule_at(TimeMs when, Callback fn) {
   CF_CHECK_GE(when, now_);  // cannot schedule an event in the past
@@ -34,17 +51,18 @@ EventId Simulator::push(TimeMs when, Callback fn, TimeMs period) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    CF_CHECK_MSG(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+    CF_CHECK_MSG(slots_.size() < kNoSlot,
                  "event slab exhausted (2^32 concurrent events)");
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
+    nodes_.emplace_back();
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);  // s.fn is empty (cleared on release)
   s.period = period;
   s.cancelled = false;
   s.in_use = true;
-  heap_push(HeapNode{when, next_seq_++, slot, s.generation});
+  enqueue(slot, when);
   ++live_count_;
   // Hot path: resolve both instruments once per registry epoch instead of
   // paying two name lookups per scheduled event (see CachedCounter docs).
@@ -72,7 +90,7 @@ bool Simulator::cancel(EventId id) {
   s.cancelled = true;
   CF_INVARIANT(live_count_ > 0, "cancel of a live event implies pending > 0");
   --live_count_;
-  ++dead_in_heap_;
+  ++dead_queued_;
   CF_OBS_COUNT_HOT("sim.events.cancelled", 1);
   if (obs::MetricsRegistry* cf_obs_r = obs::registry()) {
     thread_local obs::CachedGauge depth{"sim.queue.depth"};
@@ -85,7 +103,7 @@ bool Simulator::cancel(EventId id) {
   // callback would otherwise have its own slot released (destroying the
   // std::function mid-invocation) and recycled by a same-callback
   // schedule_*; fire_next services the purge once the callback returns.
-  if (dead_in_heap_ * 2 > heap_.size()) {
+  if (dead_queued_ * 2 > queued_) {
     if (callback_depth_ > 0) {
       purge_pending_ = true;
     } else {
@@ -105,139 +123,207 @@ void Simulator::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-void Simulator::heap_push(const HeapNode& n) {
-  std::size_t i = heap_.size();
-  heap_.push_back(n);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!node_less(n, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+std::uint32_t Simulator::find_min() const {
+  // Scan one year from the cursor. A bucket's head is its minimum, and no
+  // node lies before the cursor, so the first head found in the slice being
+  // scanned is the global minimum.
+  for (std::uint64_t s = cur_slice_, end = s + buckets_.size(); s != end;
+       ++s) {
+    const std::uint32_t h = buckets_[s & mask_].head;
+    if (h != kNoSlot && slice_of(nodes_[h].when) == s) {
+      cur_slice_ = s;
+      return set_min(h);
+    }
   }
-  heap_[i] = n;
+  // A whole year without an event: the earliest bucket head is the minimum.
+  // Heads of different buckets lie in different slices, so times differ.
+  std::uint32_t best = kNoSlot;
+  for (const Bucket& b : buckets_) {
+    if (b.head != kNoSlot &&
+        (best == kNoSlot || nodes_[b.head].when < nodes_[best].when)) {
+      best = b.head;
+    }
+  }
+  CF_INVARIANT(best != kNoSlot, "find_min on an empty queue");
+  cur_slice_ = slice_of(nodes_[best].when);
+  return set_min(best);
 }
 
-void Simulator::sift_down(std::size_t i) {
-  const HeapNode node = heap_[i];
-  const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t first_child = i * 4 + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t end = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < end; ++c) {
-      if (node_less(heap_[c], heap_[best])) best = c;
-    }
-    if (!node_less(heap_[best], node)) break;
-    heap_[i] = heap_[best];
-    i = best;
+void Simulator::enqueue(std::uint32_t slot, TimeMs when) {
+  nodes_[slot].when = when;
+  const std::uint64_t s = slice_of(when);
+  if (queued_ == 0 || s < cur_slice_) {
+    // Every queued node lies in a later slice, hence at a later time.
+    cur_slice_ = s;
+    set_min(slot);
+  } else if (min_slot_ != kNoSlot && when < min_when_) {
+    set_min(slot);  // earlier than the minimum, so in its slice
   }
-  heap_[i] = node;
+  link(slot, s & mask_);
+  if (++queued_ > grow_at_) resize_calendar();
 }
 
-Simulator::HeapNode Simulator::heap_pop() {
-  const HeapNode top = heap_[0];
-  const std::size_t n = heap_.size() - 1;  // size after the pop
-  if (n == 0) {
-    heap_.pop_back();
-    return top;
+void Simulator::link(std::uint32_t slot, std::size_t b) {
+  // A node goes behind every node of equal time: it was scheduled (or
+  // re-armed) after them, so that position is its (when, seq) rank.
+  Node& n = nodes_[slot];
+  Bucket& bucket = buckets_[b];
+  if (bucket.tail == kNoSlot || nodes_[bucket.tail].when <= n.when) {
+    n.next = kNoSlot;
+    (bucket.tail == kNoSlot ? bucket.head : nodes_[bucket.tail].next) = slot;
+    bucket.tail = slot;
+    return;
   }
-  // Bottom-up deletion: walk the root hole down the min-child path to a
-  // leaf (4 comparisons per level, none against the displaced element),
-  // then bubble the former last element up from that leaf — it was a leaf
-  // itself, so it almost always stays within a level of the bottom.
-  std::size_t hole = 0;
-  for (;;) {
-    const std::size_t first_child = hole * 4 + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t end = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < end; ++c) {
-      if (node_less(heap_[c], heap_[best])) best = c;
+  if (n.when < nodes_[bucket.head].when) {
+    n.next = bucket.head;
+    bucket.head = slot;
+    return;
+  }
+  // The tail is later than `n`, so the walk stops before running off it.
+  std::uint32_t prev = bucket.head;
+  while (nodes_[nodes_[prev].next].when <= n.when) prev = nodes_[prev].next;
+  n.next = nodes_[prev].next;
+  nodes_[prev].next = slot;
+}
+
+std::uint32_t Simulator::pop_top() {
+  const std::uint32_t slot = top();  // lies in cur_slice_
+  Bucket& bucket = buckets_[cur_slice_ & mask_];
+  const std::uint32_t next = nodes_[slot].next;
+  bucket.head = next;
+  if (next == kNoSlot) bucket.tail = kNoSlot;
+  // The next node is the new minimum iff it shares the slice.
+  if (next != kNoSlot && slice_of(nodes_[next].when) == cur_slice_) {
+    set_min(next);
+  } else {
+    min_slot_ = kNoSlot;
+  }
+  if (--queued_ < shrink_at_) resize_calendar();
+  return slot;
+}
+
+void Simulator::resize_calendar() {
+  const std::uint32_t first = queued_ > 0 ? top() : kNoSlot;
+  // Concatenate the buckets into one chain. Nodes of equal time share a
+  // bucket, where they sit in seq order; relinking them in chain order
+  // therefore keeps every tie in seq order.
+  std::uint32_t chain = kNoSlot;
+  std::uint32_t last = kNoSlot;
+  for (const Bucket& b : buckets_) {
+    if (b.head == kNoSlot) continue;
+    (last == kNoSlot ? chain : nodes_[last].next) = b.head;
+    last = b.tail;
+  }
+  // Width: kNodesPerSlice times the mean gap between queued times near the
+  // front, estimated from an evenly strided sample of the chain. The width
+  // only sets how many nodes share a slice — speed, never order.
+  const std::size_t n = queued_;
+  std::array<TimeMs, kWidthSample> sample{};
+  std::size_t m = 0;
+  const std::size_t stride = std::max<std::size_t>(1, n / kWidthSample);
+  std::size_t i = 0;
+  for (std::uint32_t u = chain; u != kNoSlot && m < kWidthSample;
+       u = nodes_[u].next, ++i) {
+    if (i % stride == 0) sample[m++] = nodes_[u].when;
+  }
+  std::sort(sample.begin(), sample.begin() + static_cast<std::ptrdiff_t>(m));
+  // The first sample quantile whose span is positive and finite; an empty
+  // queue, or one whose sample is a single time, keeps the old width.
+  for (const std::size_t j : {m / 4, m / 2, m - 1}) {
+    if (j >= m) break;
+    const TimeMs span = sample[j] - nodes_[first].when;
+    if (span > 0.0 && span < std::numeric_limits<TimeMs>::infinity()) {
+      // About (j + 1) / m of the queue lies within `span` of the front.
+      const double gap = span * static_cast<double>(m) /
+                         (static_cast<double>(j + 1) * static_cast<double>(n));
+      inv_width_ = 1.0 / std::clamp(kNodesPerSlice * gap, 1e-9, 1e12);
+      break;
     }
-    heap_[hole] = heap_[best];
-    hole = best;
   }
-  const HeapNode last = heap_[n];
-  std::size_t i = hole;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!node_less(last, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+  // About 4 B of bucket per queued node. assign() keeps the capacity, so a
+  // resize back to an earlier size allocates nothing.
+  const std::size_t count = std::max(kMinBuckets, std::bit_floor(n / 2));
+  buckets_.assign(count, Bucket{});
+  mask_ = count - 1;
+  grow_at_ = 2 * std::max(n, kMinBuckets);
+  shrink_at_ = n / 2 >= kMinBuckets ? n / 2 : 0;
+  for (std::uint32_t u = chain; u != kNoSlot;) {
+    const std::uint32_t next = nodes_[u].next;
+    link(u, slice_of(nodes_[u].when) & mask_);
+    u = next;
   }
-  heap_[i] = last;
-  heap_.pop_back();
-  return top;
+  if (first != kNoSlot) {
+    cur_slice_ = slice_of(nodes_[first].when);
+    set_min(first);
+  }
 }
 
 void Simulator::drop_dead_top() {
-  const HeapNode n = heap_pop();
-  const Slot& s = slots_[n.slot];
-  if (s.in_use && s.generation == n.generation) {
-    release_slot(n.slot);  // tombstoned by cancel(); reclaim the slot now
-  }
-  CF_INVARIANT(dead_in_heap_ > 0, "dead node popped but none accounted");
-  --dead_in_heap_;
+  const std::uint32_t slot = pop_top();
+  // One node per slot: a slot is released only once its node has left the
+  // queue, so a queued tombstone's slot is still held.
+  CF_INVARIANT(slots_[slot].in_use && slots_[slot].cancelled,
+               "a dead top's slot must still be held as a tombstone");
+  release_slot(slot);
+  CF_INVARIANT(dead_queued_ > 0, "dead node popped but none accounted");
+  --dead_queued_;
 }
 
 void Simulator::purge_tombstones() {
-  std::size_t kept = 0;
   std::uint64_t purged = 0;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const HeapNode n = heap_[i];
-    const Slot& s = slots_[n.slot];
-    if (s.in_use && s.generation == n.generation) {
-      if (!s.cancelled) {
-        heap_[kept++] = n;
-        continue;
+  for (Bucket& b : buckets_) {
+    std::uint32_t prev = kNoSlot;
+    for (std::uint32_t u = b.head; u != kNoSlot;) {
+      const std::uint32_t next = nodes_[u].next;
+      if (slots_[u].cancelled) {
+        (prev == kNoSlot ? b.head : nodes_[prev].next) = next;
+        release_slot(u);
+        ++purged;
+      } else {
+        prev = u;
       }
-      release_slot(n.slot);
+      u = next;
     }
-    ++purged;
+    b.tail = prev;
   }
-  heap_.resize(kept);
-  // Re-establish the heap property bottom-up. Pop order depends only on the
-  // (when, seq) total order, so compaction cannot perturb determinism.
-  if (kept > 1) {
-    for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;) {
-      sift_down(i);
-    }
-  }
-  dead_in_heap_ = 0;
+  // Unlinking keeps every bucket in order and no node before the cursor;
+  // only the cached minimum may have been purged.
+  CF_INVARIANT(purged == dead_queued_, "every tombstone is queued once");
+  queued_ -= purged;
+  dead_queued_ = 0;
+  min_slot_ = kNoSlot;
   CF_OBS_COUNT("sim.events.purged", purged);
+  if (queued_ < shrink_at_) resize_calendar();
 }
 
 bool Simulator::fire_next() {
   CF_CHECK_MSG(callback_depth_ == 0,
                "step()/run_until()/run_all() must not be re-entered from an "
                "event callback");
-  while (!heap_.empty()) {
-    const HeapNode n = heap_pop();
-    Slot& s = slots_[n.slot];
-    if (!s.in_use || s.generation != n.generation) {
-      // Slot reclaimed while its node waited; just skip.
-      CF_INVARIANT(dead_in_heap_ > 0, "dead node popped but none accounted");
-      --dead_in_heap_;
-      continue;
-    }
+  while (queued_ > 0) {
+    const TimeMs when = nodes_[top()].when;
+    const std::uint32_t slot = pop_top();
+    Slot& s = slots_[slot];
+    // One node per slot: a slot is released only once its node has left
+    // the queue, so a popped node's slot is always still held.
+    CF_INVARIANT(s.in_use, "a queued node's slot must still be held");
     if (s.cancelled) {
-      release_slot(n.slot);
-      CF_INVARIANT(dead_in_heap_ > 0, "dead node popped but none accounted");
-      --dead_in_heap_;
+      release_slot(slot);
+      CF_INVARIANT(dead_queued_ > 0, "dead node popped but none accounted");
+      --dead_queued_;
       continue;
     }
-    // Trust boundary: the heap must hand events out in non-decreasing time
+    // Trust boundary: the queue must hand events out in non-decreasing time
     // order, and a cancelled event must never reach its callback.
-    CF_INVARIANT(n.when >= now_, "event timestamps must be monotone");
+    CF_INVARIANT(when >= now_, "event timestamps must be monotone");
     CF_INVARIANT(!s.cancelled, "cancelled event must not fire");
-    now_ = n.when;
+    now_ = when;
     if (s.period >= 0.0) {
       CF_OBS_COUNT_HOT("sim.events.executed", 1);
       // Re-arm the periodic event under the same handle before running it so
       // the callback can cancel it. The slab (a deque) pins `s` even if the
       // callback schedules enough new events to grow it.
-      heap_push(HeapNode{now_ + s.period, next_seq_++, n.slot, n.generation});
+      enqueue(slot, now_ + s.period);
       ++executed_;
       CallbackScope scope(*this, kNoSlot);
       s.fn();
@@ -257,7 +343,7 @@ bool Simulator::fire_next() {
       }
       CF_OBS_COUNT_HOT("sim.events.executed", 1);
       ++executed_;
-      CallbackScope scope(*this, n.slot);
+      CallbackScope scope(*this, slot);
       s.fn();
     }
     // Service a purge that a mid-callback cancel deferred. Re-checked
@@ -265,7 +351,7 @@ bool Simulator::fire_next() {
     // events that compaction is no longer worth it.
     if (purge_pending_) {
       purge_pending_ = false;
-      if (dead_in_heap_ * 2 > heap_.size()) purge_tombstones();
+      if (dead_queued_ * 2 > queued_) purge_tombstones();
     }
     return true;
   }
@@ -291,10 +377,10 @@ void Simulator::run_until(TimeMs horizon) {
   RunScope run_scope(*this, horizon);
   for (;;) {
     // Peek through tombstones to find the next live event time.
-    while (!heap_.empty() && !node_live(heap_[0])) {
+    while (queued_ > 0 && slots_[top()].cancelled) {
       drop_dead_top();
     }
-    if (heap_.empty() || heap_[0].when > horizon) break;
+    if (queued_ == 0 || nodes_[top()].when > horizon) break;
     fire_next();
   }
   now_ = std::max(now_, horizon);
@@ -312,10 +398,10 @@ void Simulator::run_before(TimeMs bound) {
   // change the interleaving.
   RunScope run_scope(*this, bound);
   for (;;) {
-    while (!heap_.empty() && !node_live(heap_[0])) {
+    while (queued_ > 0 && slots_[top()].cancelled) {
       drop_dead_top();
     }
-    if (heap_.empty() || heap_[0].when >= bound) break;
+    if (queued_ == 0 || nodes_[top()].when >= bound) break;
     fire_next();
   }
   now_ = std::max(now_, bound);

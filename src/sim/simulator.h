@@ -2,8 +2,9 @@
 // for the paper's PeerSim harness.
 //
 // Properties the experiments rely on:
-//   * Events at equal timestamps fire in scheduling order (a monotone
-//     sequence number breaks ties), so runs are deterministic.
+//   * Events at equal timestamps fire in scheduling order, so runs are
+//     deterministic: the engine pops in exact (when, seq) order, seq being
+//     the order in which events were scheduled.
 //   * Events can be cancelled by handle (used by churn: a node leaving
 //     cancels its pending streaming events).
 //   * Periodic events reschedule themselves until cancelled or the horizon
@@ -14,14 +15,20 @@
 // steady-state schedule/fire cycle performs zero heap allocations. Handles
 // are generation-tagged — EventId packs (generation << 32 | slot) — so a
 // stale handle for a recycled slot is rejected in O(1) without any lookup
-// table. The pending set is an intrusive 4-ary min-heap of 24-byte nodes
-// keyed on (when, seq); cancellation tombstones a slot and the heap is
-// purged eagerly once tombstones outnumber live nodes. While a callback is
-// executing the purge is deferred to fire_next's tail: compacting
-// mid-callback would release the executing slot (destroying the running
-// callback and letting a same-callback schedule_* recycle its storage).
-// Callbacks may throw — the slot is still reclaimed — but must not
-// re-enter step()/run_until()/run_all() (checked).
+// table. The pending set is a calendar queue (Brown, CACM 1988): an event
+// has at most one queued node, kept in a slot-indexed array and linked
+// into bucket floor(when / width) mod buckets. Each bucket is a list in
+// (when, seq) order; a pop scans the buckets slice by slice from a cursor
+// and takes the first head that lies in the slice being scanned. Bucket
+// count and width are re-derived from the pending set whenever it doubles
+// or halves, and affect speed only (DESIGN.md §8.1 argues the order is
+// exactly the (when, seq) order). Cancellation tombstones a slot and the
+// queue is purged eagerly once tombstones outnumber live nodes. While a
+// callback is executing the purge is deferred to fire_next's tail:
+// compacting mid-callback would release the executing slot (destroying the
+// running callback and letting a same-callback schedule_* recycle its
+// storage). Callbacks may throw — the slot is still reclaimed — but must
+// not re-enter step()/run_until()/run_all() (checked).
 //
 // Callbacks are util::small_function (DESIGN.md §14): captures live inline
 // in the slab record and a capture larger than kCallbackCapacity is a
@@ -58,7 +65,7 @@ class Simulator {
  public:
   using Callback = util::small_function<void(), kCallbackCapacity>;
 
-  Simulator() = default;
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -99,18 +106,20 @@ class Simulator {
   /// Runs until the queue is empty.
   void run_all();
 
-  /// Conservative O(1) peek at the earliest pending event time: +infinity
-  /// when the heap is empty, otherwise the root's timestamp — which may be
-  /// a cancelled tombstone, so the returned time is a *lower bound* on the
-  /// next live event. That direction is the safe one for the burst
-  /// transmission trains (DESIGN.md §14): a train breaks whenever
+  /// Conservative peek at the earliest pending event time: +infinity when
+  /// the queue is empty, otherwise the minimum over every queued node —
+  /// which may be a cancelled tombstone, so the returned time is a *lower
+  /// bound* on the next live event. That direction is the safe one for the
+  /// burst transmission trains (DESIGN.md §14): a train breaks whenever
   /// next_event_time() <= its in-flight completion, so a stale tombstone
   /// can only break a train early, never let it run past a live event.
   /// Never releases slots, so it is safe to call from inside a callback
-  /// (unlike the run_* peek loop, which reclaims dead tops as it goes).
+  /// (unlike the run_* peek loop, which reclaims dead tops as it goes); the
+  /// minimum it finds is cached, so repeated peeks are O(1).
   TimeMs next_event_time() const {
-    return heap_.empty() ? std::numeric_limits<TimeMs>::infinity()
-                         : heap_[0].when;
+    if (min_slot_ != kNoSlot) return min_when_;
+    return queued_ == 0 ? std::numeric_limits<TimeMs>::infinity()
+                        : nodes_[find_min()].when;
   }
 
   /// Upper bound on the timestamp of any event the currently-executing
@@ -118,10 +127,10 @@ class Simulator {
   /// run_before(), +infinity during run_all(), and -infinity when no run
   /// loop is active (including bare step()). Burst transmission trains
   /// (DESIGN.md §14) consult this before completing a packet inline at a
-  /// future timestamp: beyond the run horizon the heap says nothing about
+  /// future timestamp: beyond the run horizon the queue says nothing about
   /// future inputs — a direct submit() from driver code between run calls,
   /// or a cross-shard message delivered at the next window barrier — so
-  /// the train must arm a real event there and let the heap decide the
+  /// the train must arm a real event there and let the queue decide the
   /// interleaving.
   TimeMs run_horizon() const { return run_horizon_; }
 
@@ -144,29 +153,48 @@ class Simulator {
     bool in_use = false;
   };
 
-  /// 24-byte heap node; the callback stays in the slab.
-  struct HeapNode {
-    TimeMs when;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t generation;
+  /// Sentinel slot index; push() caps the slab below 2^32 - 1 slots, so no
+  /// real slot ever carries this value.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  /// The queued node of one slot (an event has at most one): its time and
+  /// the next node of its bucket. The callback stays in the slab, and seq
+  /// is implicit — a node is linked behind every node of equal time.
+  struct Node {
+    TimeMs when = 0.0;
+    std::uint32_t next = kNoSlot;
+  };
+
+  /// One calendar bucket: an intrusive list of nodes in (when, seq) order.
+  /// The tail makes an append — every equal-time burst — O(1).
+  struct Bucket {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
   };
 
   static EventId pack(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(generation) << 32) | slot;
   }
-  static bool node_less(const HeapNode& a, const HeapNode& b) {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-  }
 
-  bool node_live(const HeapNode& n) const {
-    const Slot& s = slots_[n.slot];
-    return s.in_use && s.generation == n.generation && !s.cancelled;
+  /// Index of the time slice holding `when`. Monotone in `when`, so equal
+  /// times share a slice; +infinity and very large times saturate into the
+  /// last slice instead of overflowing.
+  std::uint64_t slice_of(TimeMs when) const {
+    const double x = when * inv_width_;
+    return x < kLastSliceF ? static_cast<std::uint64_t>(x) : kLastSlice;
   }
+  static constexpr std::uint64_t kLastSlice = std::uint64_t{1} << 62;
+  static constexpr double kLastSliceF = static_cast<double>(kLastSlice);
 
-  /// Sentinel slot index; push() caps the slab below 2^32 slots, so no real
-  /// slot ever carries this value.
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// Slot of the minimum queued node; the queue must not be empty.
+  std::uint32_t top() const {
+    return min_slot_ != kNoSlot ? min_slot_ : find_min();
+  }
+  /// Caches `slot` as the minimum.
+  std::uint32_t set_min(std::uint32_t slot) const {
+    min_when_ = nodes_[slot].when;
+    return min_slot_ = slot;
+  }
 
   /// RAII around a running callback. Tracks callback depth so cancel()
   /// defers tombstone purges while any callback executes (a purge would
@@ -209,27 +237,47 @@ class Simulator {
 
   EventId push(TimeMs when, Callback fn, TimeMs period);
   void release_slot(std::uint32_t slot);
-  void heap_push(const HeapNode& n);
-  HeapNode heap_pop();
-  void sift_down(std::size_t i);
-  /// Pops the dead heap top, freeing its slot if still tombstoned.
+  /// Scans the calendar from the cursor for the minimum and caches it.
+  std::uint32_t find_min() const;
+  /// Queues `slot` at `when`, behind every queued node of equal time.
+  void enqueue(std::uint32_t slot, TimeMs when);
+  /// Links `slot` into bucket `b` behind every node of equal or lower time.
+  void link(std::uint32_t slot, std::size_t b);
+  /// Unlinks the minimum node and returns its slot.
+  std::uint32_t pop_top();
+  /// Re-derives bucket count and width from the pending set and relinks
+  /// every node in place.
+  void resize_calendar();
+  /// Pops the dead top and frees its tombstoned slot.
   void drop_dead_top();
-  /// Filters every dead node out of the heap and restores the heap
-  /// property; counted via the "sim.events.purged" counter.
+  /// Unlinks every dead node from the calendar; counted via the
+  /// "sim.events.purged" counter.
   void purge_tombstones();
   bool fire_next();
 
   TimeMs now_ = 0.0;
   TimeMs run_horizon_ = -std::numeric_limits<TimeMs>::infinity();
-  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_count_ = 0;
-  std::size_t dead_in_heap_ = 0;
+  std::size_t queued_ = 0;   // queued nodes, tombstones included
+  std::size_t dead_queued_ = 0;
   std::uint32_t callback_depth_ = 0;  // > 0 while a callback is on the stack
   bool purge_pending_ = false;        // a mid-callback cancel deferred a purge
   std::deque<Slot> slots_;  // deque: callbacks stay pinned while they run
   std::vector<std::uint32_t> free_slots_;
-  std::vector<HeapNode> heap_;  // 4-ary min-heap on (when, seq)
+  std::vector<Node> nodes_;     // indexed by slot, like slots_
+  std::vector<Bucket> buckets_;  // power-of-two count
+  std::size_t mask_ = 0;         // buckets_.size() - 1
+  double inv_width_ = 1.0;       // 1 / slice width (ms)
+  std::size_t grow_at_ = 0;      // resize once queued_ exceeds this ...
+  std::size_t shrink_at_ = 0;    // ... or drops below this
+  // Cursor: no node lies in a slice before cur_slice_. min_slot_ caches the
+  // minimum node (kNoSlot: unknown) and min_when_ its time — the burst
+  // trains peek once per packet; when set, it lies in cur_slice_. All are
+  // mutable so next_event_time() can stay a const peek.
+  mutable std::uint64_t cur_slice_ = 0;
+  mutable std::uint32_t min_slot_ = kNoSlot;
+  mutable TimeMs min_when_ = 0.0;
 };
 
 }  // namespace cloudfog::sim

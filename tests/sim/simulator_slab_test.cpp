@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "util/rng.h"
 
 // ---------------------------------------------------------------------------
 // Global allocator interposition. Every operator new/delete in this binary
@@ -222,6 +223,45 @@ TEST(SimulatorSlabTest, SteadyStateCancelChurnWithoutAllocating) {
   }
   EXPECT_EQ(g_alloc_count - before, 0u)
       << "cancel/purge churn performed heap allocations";
+}
+
+TEST(SimulatorSlabTest, SteadyStateRosterWithoutAllocating) {
+  // A streaming roster: 20k players, each with a periodic segment tick at a
+  // random phase whose every fire schedules `burst` one-shot deliveries.
+  // One cycle surges (the pending set more than doubles, so the calendar
+  // grows), goes quiet (only the ticks stay pending, so it shrinks) and
+  // settles back. A warm-up cycle with a larger surge takes every container
+  // to its high-water mark; the measured cycle must then allocate nothing,
+  // resizes included.
+  constexpr TimeMs kPeriod = 1000.0 / 15.0;
+  Simulator sim;
+  util::Rng rng(11);
+  int burst = 1;
+  std::uint64_t delivered = 0;
+  for (int p = 0; p < 20000; ++p) {
+    sim.schedule_every(rng.uniform(0.0, kPeriod), kPeriod, [&] {
+      for (int i = 0; i < burst; ++i) {
+        sim.schedule_after(rng.uniform(5.0, 60.0), [&] { ++delivered; });
+      }
+    });
+  }
+  const auto cycle = [&](int surge) {
+    burst = surge;
+    sim.run_until(sim.now() + kPeriod);
+    burst = 0;
+    sim.run_until(sim.now() + 2 * kPeriod);
+    burst = 1;
+    sim.run_until(sim.now() + 2 * kPeriod);
+  };
+  sim.run_until(2 * kPeriod);
+  cycle(8);
+
+  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t delivered_before = delivered;
+  cycle(6);
+  EXPECT_EQ(g_alloc_count - before, 0u)
+      << "roster-scale schedule/fire/resize performed heap allocations";
+  EXPECT_GT(delivered - delivered_before, 150000u);
 }
 
 TEST(SimulatorSlabTest, PeriodicSelfCancelCanScheduleFromItsOwnCallback) {
