@@ -180,12 +180,12 @@ void SupernodeSender::run_train(TimeMs clock) {
     // churn drain), so the next pop decision must wait for it. The peek is
     // a conservative lower bound — a tombstone can only break the train
     // early, which re-arms and re-checks, never reorders anything. Past the
-    // run horizon the heap says nothing about future inputs (a direct
+    // run horizon the event set says nothing about future inputs (a direct
     // submit() from driver code between run_*() calls, a cross-shard
     // message delivered at the next window barrier), so the train arms a
-    // real event there and lets the heap decide the interleaving — outside
-    // any run loop the horizon is -infinity and every packet takes the
-    // one-event-per-packet path.
+    // real event there and lets the calendar queue decide the interleaving
+    // — outside any run loop the horizon is -infinity and every packet
+    // takes the one-event-per-packet path.
     if (done > sim_->run_horizon() || sim_->next_event_time() <= done ||
         inline_completions + 1 >= burst_limit_) {
       sim_->schedule_at(done, [this, item] {

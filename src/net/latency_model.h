@@ -99,9 +99,9 @@ class LatencyPath {
 /// starts at 4096 entries and is re-sized (power-of-two set counts, 4-way)
 /// by reserve_endpoints() as the topology announces its roster, so the
 /// working set of a million-player run does not thrash a fixed-size memo
-/// (DESIGN.md §12). The cache makes the model non-thread-safe: every shard
-/// of a streaming run samples on its own topology copy, so each memo has
-/// exactly one user (DESIGN.md §13).
+/// (DESIGN.md §12). The cache makes the model non-thread-safe: a streaming
+/// run reads it only during set-up and samples resolved LatencyPaths once
+/// its shards run, so each memo has exactly one user (DESIGN.md §13).
 class LatencyModel {
  public:
   explicit LatencyModel(LatencyParams params)

@@ -4,8 +4,8 @@
 // geographic shards along supernode geography (shard/partition.h; K =
 // ScenarioParams::sim_shards, default 1), each shard owns a private slab
 // event engine plus private copies of every piece of mutable state its
-// entities touch (sender/buffer slabs, cache service, topology latency
-// memo), and a shard::ShardCluster advances all K in
+// entities touch (sender/buffer slabs, cache service), and a
+// shard::ShardCluster advances all K in
 // conservative time windows whose lookahead is the minimum latency any
 // cross-shard message can carry. K = 1 is the ordinary run and the oracle
 // every K > 1 digest is pinned to.
@@ -20,10 +20,10 @@
 //     jitter/p<pop>, packet sender: jitter/sn<node>), so its sample
 //     sequence is a function of its own event order only — the reason the
 //     digest is invariant in the shard count.
-//   * Shard 0 samples latencies on the Scenario's own topology; shards
-//     1..K-1 sample on private copies. All set-up reads of the scenario's
-//     topology finish before the cluster runs, so during the run shard 0
-//     is the only user of that memo.
+//   * Every latency the run samples is a net::LatencyPath resolved at
+//     setup (a player's uplink, feed and stream path, an at-risk player's
+//     failover path). Once the cluster runs no shard reads the topology,
+//     so all K share the Scenario's, whose pair memo is not thread-safe.
 //   * All result reduction happens in a canonical order: per-player
 //     accumulators (QoE records included) in global slot order, which is
 //     population-index order, and per-supernode byte ledgers in NodeId
@@ -80,6 +80,10 @@ namespace cloudfog::systems {
 
 namespace {
 
+/// Sentinel of the engine's 32-bit side-table indexes.
+inline constexpr std::uint32_t kNoIndex =
+    std::numeric_limits<std::uint32_t>::max();
+
 /// One streaming player. Kept lean — a run holds one per active player:
 /// the game profile is a pointer into the static catalog, and the rate
 /// adaptation state lives in StreamingEngine::adaptation_ (adaptive kinds
@@ -96,12 +100,11 @@ struct ShardPlayer {
   /// Fluid queue: private at a DC/edge server, the supernode's shared one
   /// for supernode players of the fluid kinds.
   stream::StoreHandle queue = stream::kNullHandle;
-  // Churn fallback: per-player queue at the home DC, plus the loss of that
-  // path; provisioned at setup for at-risk players only.
-  stream::StoreHandle failover_queue = stream::kNullHandle;
-  double failover_loss_prob = 0.0;
   bool failed_over = false;
   bool qoe_reported = false;  // see report_qoe()
+  /// Index of this player's churn fallback in StreamingEngine::failover_
+  /// (at-risk players only).
+  std::uint32_t failover = kNoIndex;
   /// Handle of this player's supernode packet sender in the owning shard's
   /// packet_store (scheduling kinds only) — submit never hashes.
   stream::StoreHandle packet_sender = stream::kNullHandle;
@@ -126,6 +129,15 @@ struct ShardPlayer {
   }
 };
 
+/// Churn fallback of one at-risk player, provisioned at setup: a private
+/// fluid queue at the home DC, the loss of the DC -> host path and the path
+/// itself.
+struct FailoverRoute {
+  stream::StoreHandle queue = stream::kNullHandle;
+  double loss_prob = 0.0;
+  net::LatencyPath path;  // home DC -> host
+};
+
 /// Receiver-driven rate adaptation state of one player (Section III-B).
 struct PlayerAdaptation {
   core::RateAdaptationController controller;
@@ -146,22 +158,11 @@ struct NodeLedger {
 /// anything below is ever touched by two shards: the window barrier is the
 /// only synchronisation the run needs.
 struct Shard {
-  /// `shared` is the scenario's topology; a shard that must not share its
-  /// latency memo (every shard but 0) samples on a private copy instead.
-  Shard(const net::Topology& shared, bool private_topology)
-      : topo(private_topology ? &own_topo.emplace(shared) : &shared) {}
-  Shard(const Shard&) = delete;  // `topo` may point into this object
-  Shard& operator=(const Shard&) = delete;
-
-  std::optional<net::Topology> own_topo;
-  const net::Topology* topo;
   sim::Simulator* sim = nullptr;  // owned by the cluster
   stream::FluidSenderStore fluid_store;
   stream::ReceiverBufferStore buffer_store;
   stream::SegmentFactory factory;
   std::optional<cache::EdgeCacheService> cache;
-  // Keyed by node, setup/churn only — never touched per packet.
-  std::unordered_map<NodeId, stream::StoreHandle> packet;
   // Packet senders by value; completion events capture sender addresses,
   // so the slab must not grow once the first event runs — every sender is
   // created in setup_senders().
@@ -174,9 +175,12 @@ struct Shard {
 
 struct SupernodeInfo {
   NodeId server = kInvalidNode;
-  int slots = 1;
+  int slots = 0;
   Kbps uplink_kbps = 0.0;
   std::size_t shard = 0;
+  /// The node's packet sender in its shard's packet_store (scheduling
+  /// kinds only).
+  stream::StoreHandle sender = stream::kNullHandle;
   std::vector<std::size_t> player_slots;  // global slots, ascending
   bool initially_absent = false;
   std::vector<SupernodeChurnEvent> churn;  // sorted, alternation-checked
@@ -212,8 +216,9 @@ class StreamingEngine {
   StreamingResult run();
 
  private:
-  void setup_players();
-  void setup_supernode_infos();
+  /// Returns the assignment plan's active supernodes (population indices).
+  std::vector<std::size_t> setup_players();
+  void setup_supernode_infos(const std::vector<std::size_t>& active);
   void setup_partition();
   void setup_coop();
   void build_shards();
@@ -222,6 +227,9 @@ class StreamingEngine {
   void setup_failover();
   void setup_churn();
   void start_segment_ticks();
+  /// The TCP-window cap of the server -> host path: one window per
+  /// expected round trip, floored at 1 ms.
+  Kbps tcp_window_cap_kbps(NodeId server, NodeId host) const;
 
   void on_action(std::size_t slot);
   void enqueue_segment(std::size_t slot, TimeMs t0);
@@ -267,8 +275,12 @@ class StreamingEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   util::Rng jitter_base_{0};  // parent of every per-entity stream
-  double jitter_sigma_ = 0.0;  // of every shard topology's latency model
+  double jitter_sigma_ = 0.0;  // of the scenario's latency model
   std::vector<ShardPlayer> players_;
+  std::vector<FailoverRoute> failover_;  // at-risk players only
+  /// Host -> slot of the supernode player on it: the packet senders'
+  /// propagation hook (scheduling kinds only).
+  std::vector<std::uint32_t> packet_slot_;
   std::vector<PlayerAdaptation> adaptation_;  // by slot; adaptive kinds only
   std::map<NodeId, SupernodeInfo> sn_infos_;  // NodeId order everywhere
   std::map<NodeId, std::vector<CoopNeighbor>> coop_;
@@ -276,10 +288,9 @@ class StreamingEngine {
   shard::Partition partition_;
   TimeMs lookahead_ = std::numeric_limits<double>::infinity();
   std::size_t shard_count_ = 1;
-  std::size_t active_supernodes_ = 0;
 };
 
-void StreamingEngine::setup_players() {
+std::vector<std::size_t> StreamingEngine::setup_players() {
   util::Rng rng = scenario_.fork_rng("streaming");
   const std::string salt = std::to_string(options_.seed_salt);
   jitter_base_ = rng.fork("jitter" + salt);
@@ -305,7 +316,7 @@ void StreamingEngine::setup_players() {
 
   util::Rng assign_rng = rng.fork("assign" + salt);
   AssignmentPlan plan = assign_players(kind_, scenario_, active, assign_rng);
-  active_supernodes_ = plan.active_supernodes.size();
+  CF_CHECK_MSG(plan.players.size() < kNoIndex, "too many players");
 
   const ScenarioParams& params = scenario_.params();
   const net::Topology& topo = scenario_.topology();
@@ -321,11 +332,8 @@ void StreamingEngine::setup_players() {
     stream_name += std::to_string(pa.pop_index);
     ps.rng = jitter_base_.fork(stream_name);
     ps.loss_prob = topo.server_loss_probability(pa.server, ps.host);
-    if (params.tcp_window_kbit > 0.0) {
-      const TimeMs rtt =
-          std::max(1.0, topo.expected_server_rtt_ms(pa.server, ps.host));
-      ps.wan_cap_kbps = params.tcp_window_kbit / (rtt / 1000.0);
-    }
+    if (params.tcp_window_kbit > 0.0)
+      ps.wan_cap_kbps = tcp_window_cap_kbps(pa.server, ps.host);
     ps.uplink = topo.path(
         ps.host, pa.type == ServerType::kEdge ? pa.server : pa.home_dc);
     if (pa.type == ServerType::kSupernode)
@@ -333,28 +341,22 @@ void StreamingEngine::setup_players() {
     ps.stream = topo.server_path(pa.server, ps.host);
     players_.push_back(std::move(ps));
   }
+  return std::move(plan.active_supernodes);
 }
 
-void StreamingEngine::setup_supernode_infos() {
+void StreamingEngine::setup_supernode_infos(
+    const std::vector<std::size_t>& active) {
+  for (std::size_t sn : active) {
+    const NodeId server = scenario_.player_host(sn);
+    SupernodeInfo& info = sn_infos_[server];
+    info.server = server;
+    info.slots = scenario_.supernode_capacity(sn);
+    info.uplink_kbps = scenario_.supernode_uplink_kbps(sn);
+  }
   for (std::size_t slot = 0; slot < players_.size(); ++slot) {
     const ShardPlayer& ps = players_[slot];
     if (ps.assignment.type != ServerType::kSupernode) continue;
-    const NodeId server = ps.assignment.server;
-    auto it = sn_infos_.find(server);
-    if (it == sn_infos_.end()) {
-      SupernodeInfo info;
-      info.server = server;
-      info.uplink_kbps = scenario_.params().supernode_kbps_per_slot;
-      for (std::size_t sn : scenario_.supernode_players()) {
-        if (scenario_.player_host(sn) == server) {
-          info.uplink_kbps = scenario_.supernode_uplink_kbps(sn);
-          info.slots = scenario_.supernode_capacity(sn);
-          break;
-        }
-      }
-      it = sn_infos_.emplace(server, std::move(info)).first;
-    }
-    it->second.player_slots.push_back(slot);
+    sn_infos_.at(ps.assignment.server).player_slots.push_back(slot);
   }
 
   for (const SupernodeChurnEvent& ev : options_.supernode_churn) {
@@ -463,7 +465,7 @@ void StreamingEngine::build_shards() {
   cluster_.emplace(shard_count_, options_.shard_workers);
   shards_.reserve(shard_count_);
   for (std::size_t s = 0; s < shard_count_; ++s) {
-    shards_.push_back(std::make_unique<Shard>(scenario_.topology(), s > 0));
+    shards_.push_back(std::make_unique<Shard>());
     shards_[s]->sim = &cluster_->sim(s);
   }
 }
@@ -545,18 +547,22 @@ void StreamingEngine::setup_senders() {
     ps.queue = sh.fluid_store.create(share);
   }
 
-  for (const auto& [server, info] : sn_infos_) {
+  if (uses_scheduling(kind_))
+    packet_slot_.assign(scenario_.topology().size(), kNoIndex);
+  for (auto& [server, info] : sn_infos_) {
     const std::size_t s = info.shard;
     Shard& sh = *shards_[s];
     if (uses_scheduling(kind_)) {
+      // Packets go to this node's players only, so a player's resolved
+      // stream path is exactly the (server, player) pair being sampled.
       const stream::StoreHandle handle = sh.packet_store.create(
           *sh.sim, info.uplink_kbps,
           core::SupernodeSender::Discipline::kDeadline,
           options_.cloudfog.scheduler,
           core::SupernodeSender::PropagationFn(
-              [this, server, s](NodeId player, util::Rng& rng) {
-                return shards_[s]->topo->sample_server_one_way_ms(
-                    server, player, rng);
+              [this](NodeId player, util::Rng& rng) {
+                return players_[packet_slot_[player]].stream.sample(
+                    rng, jitter_sigma_);
               }),
           core::SupernodeSender::DeliveryFn(
               [this, s](const core::PacketDelivery& d) {
@@ -578,9 +584,11 @@ void StreamingEngine::setup_senders() {
             shards_[s]->segments.on_drop(seg.delivery_tag, qoe_of());
           });
       if (sh.cache) sender.attach_segment_cache(&*sh.cache, server);
-      sh.packet.emplace(server, handle);
-      for (std::size_t slot : info.player_slots)
+      info.sender = handle;
+      for (std::size_t slot : info.player_slots) {
         players_[slot].packet_sender = handle;
+        packet_slot_[players_[slot].host] = static_cast<std::uint32_t>(slot);
+      }
     } else {
       const stream::StoreHandle queue = sh.fluid_store.create(info.uplink_kbps);
       for (std::size_t slot : info.player_slots) players_[slot].queue = queue;
@@ -590,6 +598,7 @@ void StreamingEngine::setup_senders() {
 
 void StreamingEngine::setup_failover() {
   const ScenarioParams& params = scenario_.params();
+  const net::Topology& topo = scenario_.topology();
   std::unordered_map<NodeId, std::size_t> dc_base;
   std::unordered_map<NodeId, std::size_t> at_risk;
   for (const ShardPlayer& ps : players_) {
@@ -607,20 +616,18 @@ void StreamingEngine::setup_failover() {
       ShardPlayer& ps = players_[slot];
       Shard& sh = *shards_[ps.shard];
       const NodeId dc = ps.assignment.home_dc;
-      ps.failover_loss_prob =
-          scenario_.topology().server_loss_probability(dc, ps.host);
       // Static provisioning: the DC splits its uplink across its baseline
       // load plus every player that could fail over to it, so the share is
       // a setup-time constant (a dynamic share would couple all at-risk
       // players' state across shards).
       Kbps share = params.dc_uplink_kbps /
                    static_cast<double>(dc_base[dc] + at_risk[dc]);
-      if (params.tcp_window_kbit > 0.0) {
-        const TimeMs rtt = std::max(
-            1.0, scenario_.topology().expected_server_rtt_ms(dc, ps.host));
-        share = std::min(share, params.tcp_window_kbit / (rtt / 1000.0));
-      }
-      ps.failover_queue = sh.fluid_store.create(share);
+      if (params.tcp_window_kbit > 0.0)
+        share = std::min(share, tcp_window_cap_kbps(dc, ps.host));
+      ps.failover = static_cast<std::uint32_t>(failover_.size());
+      failover_.push_back({sh.fluid_store.create(share),
+                           topo.server_loss_probability(dc, ps.host),
+                           topo.server_path(dc, ps.host)});
       if (info.initially_absent) ps.failed_over = true;
     }
   }
@@ -654,6 +661,12 @@ void StreamingEngine::start_segment_ticks() {
                              [this, slot] { adaptation_tick(slot); });
     }
   }
+}
+
+Kbps StreamingEngine::tcp_window_cap_kbps(NodeId server, NodeId host) const {
+  const TimeMs rtt =
+      std::max(1.0, scenario_.topology().expected_server_rtt_ms(server, host));
+  return scenario_.params().tcp_window_kbit / (rtt / 1000.0);
 }
 
 void StreamingEngine::on_action(std::size_t slot) {
@@ -717,21 +730,19 @@ void StreamingEngine::submit_fluid(std::size_t slot,
   ShardPlayer& ps = players_[slot];
   Shard& sh = *shards_[ps.shard];
   const bool failed = ps.failed_over;
+  const FailoverRoute* route = failed ? &failover_[ps.failover] : nullptr;
   const bool shared_queue =
       !failed && ps.assignment.type == ServerType::kSupernode;
   stream::QueuedSender& sender =
-      sh.fluid_store.get(failed ? ps.failover_queue : ps.queue);
+      sh.fluid_store.get(failed ? route->queue : ps.queue);
   stream::SendSchedule sched = sender.enqueue(sh.sim->now(), seg.size_kbit);
   if (shared_queue && ps.wan_cap_kbps > 0.0 &&
       ps.wan_cap_kbps < sender.capacity()) {
     sched.end = sched.start + transmission_ms(seg.size_kbit, ps.wan_cap_kbps);
   }
-  const double loss = failed ? ps.failover_loss_prob : ps.loss_prob;
-  // The failover path (home DC -> host) is rare and stays on the memo.
-  const TimeMs prop =
-      failed ? sh.topo->sample_server_one_way_ms(ps.assignment.home_dc,
-                                                 ps.host, ps.rng)
-             : ps.stream.sample(ps.rng, jitter_sigma_);
+  const double loss = failed ? route->loss_prob : ps.loss_prob;
+  const TimeMs prop = (failed ? route->path : ps.stream)
+                          .sample(ps.rng, jitter_sigma_);
   const TimeMs last_arrival = sched.end + prop;
   if (in_window(seg.action_time_ms)) {
     metrics::PlayerQoE& qoe = ps.report_qoe();
@@ -808,8 +819,7 @@ void StreamingEngine::apply_churn(NodeId server, bool leave) {
       // unsent remainder streams from the owning player's home DC through
       // the failover fluid queue. The in-flight packet (if any) still
       // completes on the old path and settles its segment normally.
-      core::SupernodeSender& sender =
-          sh.packet_store.get(sh.packet.at(server));
+      core::SupernodeSender& sender = sh.packet_store.get(info.sender);
       for (const core::DeadlineScheduler::PendingSegment& pending :
            sender.drain_pending()) {
         fail_over_segment(sh, pending);
@@ -830,11 +840,11 @@ void StreamingEngine::fail_over_segment(
   if (!sh.segments.contains(seg.delivery_tag)) return;
   const std::size_t slot = sh.segments.slot(seg.delivery_tag);
   ShardPlayer& ps = players_[slot];
-  stream::QueuedSender& fluid = sh.fluid_store.get(ps.failover_queue);
+  const FailoverRoute& route = failover_[ps.failover];
+  stream::QueuedSender& fluid = sh.fluid_store.get(route.queue);
   const stream::SendSchedule sched =
       fluid.enqueue(sh.sim->now(), pending.remaining_kbit);
-  const TimeMs prop =
-      sh.topo->sample_server_one_way_ms(ps.assignment.home_dc, ps.host, ps.rng);
+  const TimeMs prop = route.path.sample(ps.rng, jitter_sigma_);
   const TimeMs last_arrival = sched.end + prop;
   if (in_window(seg.action_time_ms)) ps.cloud_kbit += pending.remaining_kbit;
   // Fluid on-time fraction scaled to packet units and discounted by the
@@ -845,7 +855,7 @@ void StreamingEngine::fail_over_segment(
         sched.sent_by(seg.deadline_ms - prop, pending.remaining_kbit);
     on_time_units = on_time_kbit / pending.remaining_kbit *
                     static_cast<double>(pending.remaining_packets) *
-                    (1.0 - ps.failover_loss_prob);
+                    (1.0 - route.loss_prob);
   }
   schedule_buffer_arrival(slot, last_arrival, pending.remaining_kbit);
   sh.segments.on_failover(seg.delivery_tag, pending.remaining_packets,
@@ -948,10 +958,10 @@ StreamingResult StreamingEngine::assemble() {
       per_player.empty() ? 0.0 : per_player.percentile(95.0);
   result.mean_continuity = qoe.mean_continuity();
   result.satisfied_fraction = qoe.satisfied_fraction();
-  // Update-feed cost stays nominal (the assignment plan's active set):
-  // churned supernodes keep their slot in the plan.
+  // Update-feed cost stays nominal (sn_infos_ is the assignment plan's
+  // active set): churned supernodes keep their slot in the plan.
   const Kbps update_feed = scenario_.params().update_stream_kbps *
-                           static_cast<double>(active_supernodes_);
+                           static_cast<double>(sn_infos_.size());
   result.cloud_uplink_mbps =
       (cloud_kbit / (options_.duration_ms / 1000.0) + update_feed) / 1000.0;
   result.mean_quality_level =
@@ -1012,8 +1022,7 @@ StreamingResult StreamingEngine::run() {
   CF_TIMED_SCOPE("timers.systems.run_streaming");
   {
     CF_TIMED_SCOPE("timers.systems.setup");
-    setup_players();
-    setup_supernode_infos();
+    setup_supernode_infos(setup_players());
     setup_partition();
     setup_coop();
     build_shards();

@@ -1,0 +1,89 @@
+// Every latency the streaming engine samples while its event loop runs is a
+// path resolved at setup (DESIGN.md §13), so no shard reads the topology's
+// pair memo during the run and all shards can share the scenario's topology.
+// Observable contract: the number of pair-memo lookups is a function of the
+// setup alone — two runs that differ only in the length of the measurement
+// window do exactly as many. Covered per run-time sampler: packet-level
+// senders and the drained-backlog failover (CloudFog/A), fluid failover
+// streaming (CloudFog-adapt with the cooperative cache), each at one and at
+// two shards.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "obs/metrics.h"
+#include "systems/streaming_sim.h"
+
+namespace cloudfog::systems {
+namespace {
+
+ScenarioParams churn_params(std::size_t shards, bool cache) {
+  ScenarioParams p = ScenarioParams::simulation_defaults(4);
+  p.num_players = 500;
+  p.num_supernodes = 60;
+  p.dc_uplink_kbps = 1'250'000.0 * 500.0 / 10'000.0;
+  p.sim_shards = shards;
+  if (cache) {
+    p.use_segment_cache = true;
+    p.cache_coop_neighbors = 2;
+  }
+  return p;
+}
+
+struct MemoRun {
+  std::uint64_t lookups = 0;
+  std::uint64_t segments = 0;
+};
+
+/// One run on a fresh scenario. Every other supernode leaves at 2.5 s and
+/// never returns: past the horizon of a 1 s window, inside a 3 s one. Only
+/// the longer run drains packet backlogs and streams over the failover
+/// paths, which setup resolves for both.
+MemoRun run_counting(SystemKind kind, const ScenarioParams& params,
+                     double duration_ms) {
+  const Scenario scenario = Scenario::build(params);
+  StreamingOptions o;
+  o.num_players = 250;
+  o.warmup_ms = 500.0;
+  o.duration_ms = duration_ms;
+  o.drain_ms = 500.0;
+  o.shard_workers = 1;
+  const std::vector<std::size_t>& sns = scenario.supernode_players();
+  for (std::size_t i = 0; i < sns.size(); i += 2)
+    o.supernode_churn.push_back({2'500.0, sns[i], true});
+
+  obs::MetricsRegistry registry;
+  MemoRun run;
+  {
+    obs::ScopedRegistry install(registry);
+    run.segments = run_streaming(kind, scenario, o).segments_generated;
+  }
+  for (const char* name :
+       {"net.latency.pair_memo.hits", "net.latency.pair_memo.misses"}) {
+    if (const obs::Counter* c = registry.find_counter(name))
+      run.lookups += c->value();
+  }
+  return run;
+}
+
+void expect_lookups_independent_of_duration(SystemKind kind, bool cache) {
+  for (std::size_t shards : {1u, 2u}) {
+    const ScenarioParams params = churn_params(shards, cache);
+    const MemoRun short_run = run_counting(kind, params, 1'000.0);
+    const MemoRun long_run = run_counting(kind, params, 3'000.0);
+    EXPECT_GT(long_run.segments, short_run.segments) << "shards " << shards;
+    EXPECT_GT(short_run.lookups, 0u) << "shards " << shards;
+    EXPECT_EQ(long_run.lookups, short_run.lookups) << "shards " << shards;
+  }
+}
+
+TEST(RunTimeLatency, PacketSendersAndBacklogFailoverUseNoMemo) {
+  expect_lookups_independent_of_duration(SystemKind::kCloudFogA, false);
+}
+
+TEST(RunTimeLatency, FluidFailoverUsesNoMemo) {
+  expect_lookups_independent_of_duration(SystemKind::kCloudFogAdapt, true);
+}
+
+}  // namespace
+}  // namespace cloudfog::systems
