@@ -20,7 +20,11 @@ class ReceiverBuffer {
   /// quality level currently being played).
   explicit ReceiverBuffer(Kbps playback_rate_kbps);
 
-  /// Records `size_kbit` of video data arriving at time `now`.
+  /// Records `size_kbit` of video data arriving at time `now`. The calls
+  /// may come after the fact, as long as they come in time order: a caller
+  /// that reads the buffer only at certain instants may hold arrivals back
+  /// and feed each one before the next read, with `now` being the
+  /// arrival's own time (systems/pending_arrivals.h does).
   void on_arrival(TimeMs now, Kbit size_kbit);
 
   /// Changes the playback (drain) rate — called when the encoding level

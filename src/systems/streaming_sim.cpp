@@ -32,6 +32,12 @@
 //     across shard counts — phases are continuous uniforms, so ties are
 //     measure-zero.
 //
+// Receive buffers: a delivery is not an event. It waits in the player's
+// pending-arrival list (systems/pending_arrivals.h) until the player's
+// adaptation tick, the only reader of the buffer, applies it in the order
+// one event per arrival would have; the run's end flushes what reached the
+// horizon.
+//
 // Supernode churn: scripted leave/join toggles.
 // Leave releases the node's cache (cancelling in-flight jobs) and fails
 // its players over to a per-player fluid queue at their home datacenter,
@@ -46,6 +52,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -72,6 +79,7 @@
 #include "stream/receiver_buffer.h"
 #include "stream/stream_store.h"
 #include "stream/video.h"
+#include "systems/pending_arrivals.h"
 #include "systems/segment_ledger.h"
 #include "util/check.h"
 #include "util/stats.h"
@@ -140,8 +148,12 @@ struct FailoverRoute {
 
 /// Receiver-driven rate adaptation state of one player (Section III-B).
 struct PlayerAdaptation {
+  explicit PlayerAdaptation(core::RateAdaptationController c)
+      : controller(std::move(c)) {}
+
   core::RateAdaptationController controller;
   Kbit arrived_at_last_tick = 0.0;
+  PendingArrivals arrivals;  // deliveries the buffer has not seen yet
 };
 
 /// Per-supernode byte ledger, filled in the node's own event order by the
@@ -240,9 +252,12 @@ class StreamingEngine {
   void apply_churn(NodeId server, bool leave);
   void fail_over_segment(Shard& sh,
                          const core::DeadlineScheduler::PendingSegment& pending);
-  /// Schedules `size` kbit into the player's receive buffer at `when`
-  /// (adaptive kinds only; a no-op without a buffer).
+  /// Queues `size` kbit for the player's receive buffer at `when` (adaptive
+  /// kinds only; a no-op without a buffer). Schedules no event.
   void schedule_buffer_arrival(std::size_t slot, TimeMs when, Kbit size);
+  /// Applies every pending arrival the event loop reached: run_until fires
+  /// events at `horizon` itself.
+  void flush_buffer_arrivals(TimeMs horizon);
   /// The segment ledgers' QoE accessor: a player's record, marked reported.
   auto qoe_of() {
     return [this](std::size_t slot) -> metrics::PlayerQoE& {
@@ -423,9 +438,13 @@ void StreamingEngine::setup_coop() {
         ranked.emplace_back(
             scenario_.topology().expected_server_one_way_ms(a, b), b);
       }
-      std::sort(ranked.begin(), ranked.end());
+      // (latency, NodeId) pairs are totally ordered, so selecting the m
+      // best and sorting only those yields the full sort's first m.
       const std::size_t m =
           std::min(params.cache_coop_neighbors, ranked.size());
+      const auto mth = ranked.begin() + static_cast<std::ptrdiff_t>(m);
+      std::nth_element(ranked.begin(), mth, ranked.end());
+      std::sort(ranked.begin(), mth);
       std::vector<CoopNeighbor>& list = coop_[a];
       list.reserve(m);
       for (std::size_t i = 0; i < m; ++i) {
@@ -532,9 +551,8 @@ void StreamingEngine::setup_senders() {
     ShardPlayer& ps = players_[slot];
     Shard& sh = *shards_[ps.shard];
     if (uses_adaptation(kind_)) {
-      adaptation_.push_back(
-          {core::RateAdaptationController(*ps.profile,
-                                          options_.cloudfog.adaptation)});
+      adaptation_.emplace_back(core::RateAdaptationController(
+          *ps.profile, options_.cloudfog.adaptation));
       ps.buffer =
           sh.buffer_store.create(game::quality_for_level(ps.level).bitrate_kbps);
     }
@@ -777,22 +795,29 @@ void StreamingEngine::schedule_buffer_arrival(std::size_t slot, TimeMs when,
                                               Kbit size) {
   const ShardPlayer& ps = players_[slot];
   if (ps.buffer == stream::kNullHandle) return;
-  shards_[ps.shard]->sim->schedule_at(when, [this, slot, size] {
-    ShardPlayer& p = players_[slot];
-    Shard& owner = *shards_[p.shard];
-    owner.buffer_store.get(p.buffer).on_arrival(owner.sim->now(), size);
-  });
+  Shard& sh = *shards_[ps.shard];
+  adaptation_[slot].arrivals.add(sh.buffer_store.get(ps.buffer), sh.sim->now(),
+                                 when, size);
+}
+
+void StreamingEngine::flush_buffer_arrivals(TimeMs horizon) {
+  for (std::size_t slot = 0; slot < adaptation_.size(); ++slot) {
+    const ShardPlayer& ps = players_[slot];
+    adaptation_[slot].arrivals.flush(
+        shards_[ps.shard]->buffer_store.get(ps.buffer), horizon);
+  }
 }
 
 void StreamingEngine::adaptation_tick(std::size_t slot) {
   ShardPlayer& ps = players_[slot];
   Shard& sh = *shards_[ps.shard];
   stream::ReceiverBuffer& buffer = sh.buffer_store.get(ps.buffer);
+  PlayerAdaptation& adapt = adaptation_[slot];
+  adapt.arrivals.before_tick(buffer, sh.sim->now());
   const TimeMs period = scenario_.params().segment_period_ms();
   const Kbps playback = game::quality_for_level(ps.level).bitrate_kbps;
   const Kbit tau = playback * period / 1000.0;
   const Kbit arrived = buffer.total_arrived_kbit();
-  PlayerAdaptation& adapt = adaptation_[slot];
   const Kbps download = (arrived - adapt.arrived_at_last_tick) /
                         options_.adaptation_tick_ms * 1000.0;
   adapt.arrived_at_last_tick = arrived;
@@ -1047,6 +1072,9 @@ StreamingResult StreamingEngine::run() {
     CF_TIMED_SCOPE("timers.systems.event_loop");
     cluster_->run(horizon, lookahead_);
   }
+  // No buffer is read after the run. The flush is there so the buffers'
+  // stall accounting covers every arrival the run reached.
+  flush_buffer_arrivals(horizon);
   obs::trace_sim_instant("streaming.end", "systems", horizon);
   CF_OBS_COUNT("systems.streaming.runs", 1);
   return assemble();

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "systems/streaming_sim.h"
 #include "systems/supernode_experiment.h"
 #include "qoe_digest.h"
@@ -74,6 +75,26 @@ StreamingResult run_scheduled_churn(std::size_t shards) {
   return run_streaming(SystemKind::kCloudFogA, scenario, o);
 }
 
+/// A run's digest and its receive buffers' stall episodes, read from a
+/// metrics registry installed for the run alone.
+struct ObservedRun {
+  std::uint64_t digest = 0;
+  std::uint64_t stalls = 0;
+};
+
+template <typename Run>
+ObservedRun run_observed(Run run) {
+  obs::MetricsRegistry registry;
+  ObservedRun out;
+  {
+    const obs::ScopedRegistry install(registry);
+    out.digest = qoe_digest(run());
+  }
+  const obs::Counter* stalls = registry.find_counter("stream.buffer.stalls");
+  out.stalls = stalls != nullptr ? stalls->value() : 0;
+  return out;
+}
+
 std::string hex(std::uint64_t v) {
   char buf[19];
   std::snprintf(buf, sizeof buf, "0x%016llx",
@@ -97,6 +118,11 @@ constexpr GoldenCase kGolden[] = {
 };
 constexpr std::uint64_t kCacheCoopChurnDigest = 0xbd6839b10185be8dull;
 constexpr std::uint64_t kScheduledChurnDigest = 0xb01addecdb881393ull;
+// Stall episodes summed over every receive buffer of the run. The digest
+// does not fold them in, yet they move with any change to the order in
+// which the buffers see arrivals and playback-rate switches.
+constexpr std::uint64_t kCacheCoopChurnStalls = 1640;
+constexpr std::uint64_t kScheduledChurnStalls = 2070;
 
 TEST(GoldenDigest, SystemKindsMatchPinnedValues) {
   for (const GoldenCase& c : kGolden) {
@@ -122,17 +148,21 @@ TEST(GoldenDigest, ConfigurationsExerciseTheirSubsystems) {
 
 TEST(GoldenDigest, CacheCoopChurnMatchesPinnedValue) {
   for (std::size_t shards : {1u, 2u}) {
-    const std::uint64_t got = qoe_digest(run_cache_coop_churn(shards));
-    EXPECT_EQ(got, kCacheCoopChurnDigest)
-        << "K = " << shards << ": digest " << hex(got);
+    const ObservedRun got =
+        run_observed([shards] { return run_cache_coop_churn(shards); });
+    EXPECT_EQ(got.digest, kCacheCoopChurnDigest)
+        << "K = " << shards << ": digest " << hex(got.digest);
+    EXPECT_EQ(got.stalls, kCacheCoopChurnStalls) << "K = " << shards;
   }
 }
 
 TEST(GoldenDigest, ScheduledChurnMatchesPinnedValue) {
   for (std::size_t shards : {1u, 2u}) {
-    const std::uint64_t got = qoe_digest(run_scheduled_churn(shards));
-    EXPECT_EQ(got, kScheduledChurnDigest)
-        << "K = " << shards << ": digest " << hex(got);
+    const ObservedRun got =
+        run_observed([shards] { return run_scheduled_churn(shards); });
+    EXPECT_EQ(got.digest, kScheduledChurnDigest)
+        << "K = " << shards << ": digest " << hex(got.digest);
+    EXPECT_EQ(got.stalls, kScheduledChurnStalls) << "K = " << shards;
   }
 }
 
