@@ -32,6 +32,27 @@
 //     across shard counts — phases are continuous uniforms, so ties are
 //     measure-zero.
 //
+// Events per segment. A generated segment costs one engine event, its
+// pipeline completion (uplink, compute and render done). Its segment tick,
+// which draws that pipeline, is an event only when it has to be:
+//   * A tick reads only its own player's state (RNG stream, resolved paths,
+//     failed_over), so it runs inline at the end of the player's last
+//     pending action before it: a pipeline completion, or a cache delivery,
+//     which draws the fluid propagation sample. With no other action of the
+//     player in flight, the ticks before the earliest completion they create
+//     run there too (run_ticks).
+//   * It is an event at its own time when it is the player's first, when
+//     another action of the player is still in flight, and always for a
+//     player at risk of churn, whose failed_over a leave or join may flip
+//     between the earlier action and the tick's time.
+//   * No tick runs or is armed at or after the window end.
+// The per-player draw order is unchanged, so every output is. One ordering
+// caveat: a completion an inline tick schedules takes its seq at the
+// earlier action, so against a *different* entity's event at an identical
+// timestamp it may order differently than before; as above, such ties are
+// measure-zero. Adaptation ticks stay periodic events: they write the
+// quality level the completion reads.
+//
 // Receive buffers: a delivery is not an event. It waits in the player's
 // pending-arrival list (systems/pending_arrivals.h) until the player's
 // adaptation tick, the only reader of the buffer, applies it in the order
@@ -108,8 +129,13 @@ struct ShardPlayer {
   /// Fluid queue: private at a DC/edge server, the supernode's shared one
   /// for supernode players of the fluid kinds.
   stream::StoreHandle queue = stream::kNullHandle;
-  bool failed_over = false;
-  bool qoe_reported = false;  // see report_qoe()
+  bool failed_over : 1 = false;
+  bool qoe_reported : 1 = false;  // see report_qoe()
+  /// The next segment tick is an engine event (see run_ticks()).
+  bool tick_armed : 1 = false;
+  /// Pending actions that draw from `rng`: pipeline completions and cache
+  /// deliveries (players not at risk of churn only).
+  std::uint16_t in_flight = 0;
   /// Index of this player's churn fallback in StreamingEngine::failover_
   /// (at-risk players only).
   std::uint32_t failover = kNoIndex;
@@ -122,11 +148,13 @@ struct ShardPlayer {
   /// Private sample stream: every stochastic draw this player causes
   /// (pipeline jitter, VBR size, fluid propagation) comes from here.
   util::Rng rng{0};
-  std::size_t shard = 0;
+  std::uint32_t shard = 0;
   // K-invariant accumulators, reduced in global slot order after the run.
+  std::uint32_t segments = 0;
+  /// Action time of the next segment tick, accumulated period by period.
+  TimeMs next_tick = 0.0;
   Kbit cloud_kbit = 0.0;
   double level_sum = 0.0;  // over the `segments` measured segments
-  std::uint64_t segments = 0;
   metrics::PlayerQoE qoe;
 
   /// The QoE record, marked reported: only reported players count towards
@@ -238,12 +266,28 @@ class StreamingEngine {
   void setup_senders();
   void setup_failover();
   void setup_churn();
+  /// Arms each player's first segment tick at its phase.
   void start_segment_ticks();
+  /// Periodic adaptation ticks; they write the level the completion reads.
+  void start_adaptation_ticks();
   /// The TCP-window cap of the server -> host path: one window per
   /// expected round trip, floored at 1 ms.
   Kbps tcp_window_cap_kbps(NodeId server, NodeId host) const;
 
-  void on_action(std::size_t slot);
+  /// Runs the player's segment tick at next_tick, and, with no other action
+  /// of the player in flight, every later tick before the earliest pipeline
+  /// completion these ticks create. Leaves the next tick armed as an event
+  /// unless one of those completions will run it.
+  void run_ticks(std::size_t slot);
+  /// One segment tick: draws the action pipeline, schedules its completion
+  /// and advances next_tick by a period. Returns the completion time.
+  TimeMs segment_tick(std::size_t slot);
+  /// Schedules the next segment tick as an engine event, unless it falls at
+  /// or after the window end.
+  void arm_tick(std::size_t slot);
+  /// A pipeline completion or cache delivery has drawn its last sample: if
+  /// it was the player's last action in flight, the next tick runs inline.
+  void end_action(std::size_t slot);
   void enqueue_segment(std::size_t slot, TimeMs t0);
   void submit_fluid(std::size_t slot, const stream::VideoSegment& seg);
   void submit_packet(std::size_t slot, stream::VideoSegment seg);
@@ -274,9 +318,23 @@ class StreamingEngine {
   void post_or_local(std::size_t src, std::size_t dst, TimeMs when,
                      std::function<void()> fn);
 
+  TimeMs window_end() const {
+    return options_.warmup_ms + options_.duration_ms;
+  }
   bool in_window(TimeMs t0) const {
-    return t0 >= options_.warmup_ms &&
-           t0 < options_.warmup_ms + options_.duration_ms;
+    return t0 >= options_.warmup_ms && t0 < window_end();
+  }
+  /// Players at risk of churn keep every segment tick an engine event: a
+  /// leave or join may flip `failed_over`, which the tick reads, between
+  /// an earlier action and the tick's own time.
+  static bool folds_ticks(const ShardPlayer& ps) {
+    return ps.failover == kNoIndex;
+  }
+  static void begin_action(ShardPlayer& ps) {
+    if (!folds_ticks(ps)) return;
+    CF_CHECK_MSG(ps.in_flight < std::numeric_limits<std::uint16_t>::max(),
+                 "too many actions of one player in flight");
+    ++ps.in_flight;
   }
   StreamingResult assemble();
 
@@ -418,10 +476,11 @@ void StreamingEngine::setup_partition() {
     const shard::AnchorIndex anchors(sites_, partition_);
     for (ShardPlayer& ps : players_) {
       if (ps.assignment.type == ServerType::kSupernode) {
-        ps.shard = sn_infos_.at(ps.assignment.server).shard;
+        ps.shard = static_cast<std::uint32_t>(
+            sn_infos_.at(ps.assignment.server).shard);
       } else {
-        ps.shard =
-            anchors.shard_of(scenario_.topology().host(ps.host).position);
+        ps.shard = static_cast<std::uint32_t>(
+            anchors.shard_of(scenario_.topology().host(ps.host).position));
       }
     }
   }
@@ -665,19 +724,24 @@ void StreamingEngine::setup_churn() {
 void StreamingEngine::start_segment_ticks() {
   const TimeMs period = scenario_.params().segment_period_ms();
   for (std::size_t slot = 0; slot < players_.size(); ++slot) {
+    players_[slot].next_tick = players_[slot].rng.uniform(0.0, period);
+    arm_tick(slot);
+  }
+}
+
+void StreamingEngine::start_adaptation_ticks() {
+  if (!uses_adaptation(kind_)) return;
+  const TimeMs period = scenario_.params().segment_period_ms();
+  for (std::size_t slot = 0; slot < players_.size(); ++slot) {
     ShardPlayer& ps = players_[slot];
     Shard& sh = *shards_[ps.shard];
-    const TimeMs phase = ps.rng.uniform(0.0, period);
-    sh.sim->schedule_every(phase, period, [this, slot] { on_action(slot); });
-    if (uses_adaptation(kind_)) {
-      const Kbit tau =
-          game::quality_for_level(ps.level).bitrate_kbps * period / 1000.0;
-      sh.buffer_store.get(ps.buffer).on_arrival(0.0, tau);
-      const TimeMs tick_phase =
-          ps.rng.uniform(0.0, options_.adaptation_tick_ms);
-      sh.sim->schedule_every(tick_phase, options_.adaptation_tick_ms,
-                             [this, slot] { adaptation_tick(slot); });
-    }
+    const Kbit tau =
+        game::quality_for_level(ps.level).bitrate_kbps * period / 1000.0;
+    sh.buffer_store.get(ps.buffer).on_arrival(0.0, tau);
+    // Drawn after the phase of start_segment_ticks from the same stream.
+    const TimeMs tick_phase = ps.rng.uniform(0.0, options_.adaptation_tick_ms);
+    sh.sim->schedule_every(tick_phase, options_.adaptation_tick_ms,
+                           [this, slot] { adaptation_tick(slot); });
   }
 }
 
@@ -687,12 +751,20 @@ Kbps StreamingEngine::tcp_window_cap_kbps(NodeId server, NodeId host) const {
   return scenario_.params().tcp_window_kbit / (rtt / 1000.0);
 }
 
-void StreamingEngine::on_action(std::size_t slot) {
+void StreamingEngine::run_ticks(std::size_t slot) {
+  ShardPlayer& ps = players_[slot];
+  const bool fold = ps.in_flight == 0 && folds_ticks(ps);
+  TimeMs first_done = std::numeric_limits<TimeMs>::infinity();
+  do {
+    first_done = std::min(first_done, segment_tick(slot));
+  } while (fold && ps.next_tick < window_end() && ps.next_tick < first_done);
+  if (!fold) arm_tick(slot);
+}
+
+TimeMs StreamingEngine::segment_tick(std::size_t slot) {
   ShardPlayer& ps = players_[slot];
   Shard& sh = *shards_[ps.shard];
-  const TimeMs t0 = sh.sim->now();
-  if (t0 >= options_.warmup_ms + options_.duration_ms) return;
-
+  const TimeMs t0 = ps.next_tick;
   const ScenarioParams& params = scenario_.params();
   TimeMs pipeline = 0.0;
   if (ps.failed_over) {
@@ -709,8 +781,33 @@ void StreamingEngine::on_action(std::size_t slot) {
     }
     pipeline += params.render_ms;
   }
-  sh.sim->schedule_after(pipeline,
-                         [this, slot, t0] { enqueue_segment(slot, t0); });
+  ps.next_tick = t0 + params.segment_period_ms();
+  begin_action(ps);
+  const TimeMs done = t0 + pipeline;
+  sh.sim->schedule_at(done, [this, slot, t0] { enqueue_segment(slot, t0); });
+  return done;
+}
+
+void StreamingEngine::arm_tick(std::size_t slot) {
+  ShardPlayer& ps = players_[slot];
+  if (ps.next_tick >= window_end()) return;
+  ps.tick_armed = true;
+  shards_[ps.shard]->sim->schedule_at(ps.next_tick, [this, slot] {
+    players_[slot].tick_armed = false;
+    run_ticks(slot);
+  });
+}
+
+void StreamingEngine::end_action(std::size_t slot) {
+  ShardPlayer& ps = players_[slot];
+  if (!folds_ticks(ps)) return;
+  --ps.in_flight;
+  if (ps.tick_armed || ps.next_tick >= window_end()) return;
+  if (ps.in_flight == 0) {
+    run_ticks(slot);
+  } else {
+    arm_tick(slot);
+  }
 }
 
 void StreamingEngine::enqueue_segment(std::size_t slot, TimeMs t0) {
@@ -736,11 +833,20 @@ void StreamingEngine::enqueue_segment(std::size_t slot, TimeMs t0) {
              uses_scheduling(kind_)) {
     submit_packet(slot, seg);
   } else if (ps.assignment.type == ServerType::kSupernode && sh.cache) {
-    sh.cache->request(ps.assignment.server, seg,
-                      [this, slot, seg] { submit_fluid(slot, seg); });
+    // The delivery draws the propagation sample, so it is an action of its
+    // own. A hit delivers inline and ends this completion's action; any
+    // other source delivers later, one more action in flight.
+    const auto served = sh.cache->request(
+        ps.assignment.server, seg, [this, slot, seg] {
+          submit_fluid(slot, seg);
+          end_action(slot);
+        });
+    if (served.source == cache::ServeSource::kCacheHit) return;
+    begin_action(ps);
   } else {
     submit_fluid(slot, seg);
   }
+  end_action(slot);
 }
 
 void StreamingEngine::submit_fluid(std::size_t slot,
@@ -1056,6 +1162,7 @@ StreamingResult StreamingEngine::run() {
     setup_failover();
     setup_churn();
     start_segment_ticks();
+    start_adaptation_ticks();
   }
   // Periodic queue-depth/throughput sampling for the trace and metrics —
   // a pure observer (see obs/sim_hook.h), so it may be installed only when

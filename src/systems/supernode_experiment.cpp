@@ -1,5 +1,6 @@
 #include "systems/supernode_experiment.h"
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <optional>
@@ -14,6 +15,7 @@
 #include "stream/queued_sender.h"
 #include "stream/receiver_buffer.h"
 #include "stream/video.h"
+#include "systems/pending_arrivals.h"
 #include "systems/segment_ledger.h"
 #include "util/check.h"
 #include "util/stats.h"
@@ -34,6 +36,7 @@ struct Player {
   Kbit arrived_at_last_tick = 0.0;
   std::optional<core::RateAdaptationController> controller;
   std::optional<stream::ReceiverBuffer> buffer;
+  PendingArrivals arrivals;  // deliveries the buffer has not seen yet
   std::optional<stream::EncoderModel> encoder;
   metrics::PlayerQoE qoe;
   /// Only reported players count towards the population aggregates.
@@ -126,11 +129,10 @@ SupernodeExperimentResult run_supernode_experiment(
     const std::size_t who = ledger.on_delivery(d, qoe_of);
     if (who == SegmentLedger::kUnknown || d.lost || !players[who].buffer)
       return;
-    const Kbit size = d.size_kbit;
-    const TimeMs when = std::max(d.arrival_ms, sim.now());
-    sim.schedule_at(when, [&, who, size] {
-      players[who].buffer->on_arrival(sim.now(), size);
-    });
+    // Only the adaptation tick reads the buffer: the arrival waits for it.
+    Player& p = players[who];
+    p.arrivals.add(*p.buffer, sim.now(), std::max(d.arrival_ms, sim.now()),
+                   d.size_kbit);
   };
   // Completion events capture sender addresses: reserve so the vector
   // never moves them.
@@ -232,6 +234,7 @@ SupernodeExperimentResult run_supernode_experiment(
       const TimeMs tick_phase = setup_rng.uniform(0.0, config.adaptation_tick_ms);
       sim.schedule_every(tick_phase, config.adaptation_tick_ms, [&, player] {
         Player& p = players[player];
+        p.arrivals.before_tick(*p.buffer, sim.now());
         const Kbps playback = game::quality_for_level(p.level).bitrate_kbps;
         const Kbit tau = playback * period / 1000.0;
         // Windowed download rate d(t_k): data received since the last tick.
@@ -256,7 +259,13 @@ SupernodeExperimentResult run_supernode_experiment(
     }
   }
 
-  sim.run_until(window_end + config.drain_ms);
+  const TimeMs horizon = window_end + config.drain_ms;
+  sim.run_until(horizon);
+  // No buffer is read after the run; the flush completes the buffers' stall
+  // accounting with every arrival the run reached.
+  for (Player& p : players) {
+    if (p.buffer) p.arrivals.flush(*p.buffer, horizon);
+  }
 
   // Players are dense 0..N-1: index order is the canonical reduce order.
   metrics::QoESummary qoe;

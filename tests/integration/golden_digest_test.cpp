@@ -166,6 +166,71 @@ TEST(GoldenDigest, ScheduledChurnMatchesPinnedValue) {
   }
 }
 
+/// Pipelines longer than the default: with compute_ms = 40 an action's
+/// uplink, compute and render stages span about 0.7 segment periods, with
+/// 160 about 2.5, so several segments of one player are in flight at once.
+/// Every other supernode leaves mid-window and returns before the drain, so
+/// players at risk of failover and players that are not share each run,
+/// and with the cache on, both kinds are served through it.
+struct LongPipelineCase {
+  const char* name;
+  SystemKind kind;
+  bool cache;  // segment cache with three cooperative neighbours
+  bool churn;
+  TimeMs compute_ms;
+  std::uint64_t digest;
+  std::uint64_t stalls;
+};
+
+StreamingResult run_long_pipeline(const LongPipelineCase& c,
+                                  std::size_t shards) {
+  ScenarioParams p = golden_params(shards);
+  p.compute_ms = c.compute_ms;
+  if (c.cache) {
+    p.use_segment_cache = true;
+    p.cache_coop_neighbors = 3;
+  }
+  const Scenario scenario = Scenario::build(p);
+  StreamingOptions o = golden_options();
+  if (c.churn) {
+    const std::vector<std::size_t>& sns = scenario.supernode_players();
+    for (std::size_t i = 0; i < sns.size(); i += 2) {
+      o.supernode_churn.push_back({900.0, sns[i], true});
+      o.supernode_churn.push_back({1'800.0, sns[i], false});
+    }
+  }
+  return run_streaming(c.kind, scenario, o);
+}
+
+// Recorded before the engine folded segment ticks into earlier actions.
+constexpr LongPipelineCase kLongPipelines[] = {
+    {"CloudFogB/40", SystemKind::kCloudFogB, false, false, 40.0,
+     0x1e72301c553fb975ull, 0},
+    {"CloudFogB/160", SystemKind::kCloudFogB, false, false, 160.0,
+     0x9ade0a8301d2ee61ull, 0},
+    {"CloudFogA+churn/40", SystemKind::kCloudFogA, false, true, 40.0,
+     0xe01cf82c0121ea6eull, 2725},
+    {"CloudFogA+churn/160", SystemKind::kCloudFogA, false, true, 160.0,
+     0xaf9a4b6410ea82a7ull, 2775},
+    {"Adapt+cache+coop+churn/40", SystemKind::kCloudFogAdapt, true, true, 40.0,
+     0x586d35fd68ef6ee4ull, 1492},
+    {"Adapt+cache+coop+churn/160", SystemKind::kCloudFogAdapt, true, true,
+     160.0, 0xc2ab538fa26d30caull, 1502},
+};
+
+TEST(GoldenDigest, LongPipelinesMatchPinnedValues) {
+  for (const LongPipelineCase& c : kLongPipelines) {
+    for (std::size_t shards : {1u, 2u}) {
+      const ObservedRun got =
+          run_observed([&c, shards] { return run_long_pipeline(c, shards); });
+      EXPECT_EQ(got.digest, c.digest)
+          << c.name << " at K = " << shards << ": digest " << hex(got.digest);
+      EXPECT_EQ(got.stalls, c.stalls)
+          << c.name << " at K = " << shards << ": stalls " << got.stalls;
+    }
+  }
+}
+
 
 // The packet-level experiment (Fig 10/11 and, with two supernodes, the X4
 // cooperation extension) builds its own simulator, so the streaming

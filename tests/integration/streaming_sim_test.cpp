@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace cloudfog::systems {
 namespace {
 
@@ -126,6 +128,31 @@ TEST(StreamingSim, SeedSaltChangesOutcome) {
   const auto r1 = run_streaming(SystemKind::kCloud, shared_scenario(), o1);
   const auto r2 = run_streaming(SystemKind::kCloud, shared_scenario(), o2);
   EXPECT_NE(r1.mean_response_latency_ms, r2.mean_response_latency_ms);
+}
+
+TEST(StreamingSim, SegmentTicksAreMostlyNotEvents) {
+  // Event budget of CloudFog/B at the default pipeline timing, with the
+  // end-to-end benchmark's warm-up, window and drain. Each generated
+  // segment costs its pipeline completion; a segment tick runs inside the
+  // player's last action before it, so the only tick events left are each
+  // player's first and the few a still-pending completion forces. Counted
+  // over the whole run per window segment, completions alone read
+  // (2 + 3) / 3 = 1.67; a tick event per segment as well would read 3.67.
+  StreamingOptions o = quick_options();
+  o.warmup_ms = 2'000.0;
+  o.duration_ms = 3'000.0;
+  o.drain_ms = 1'000.0;
+  obs::MetricsRegistry registry;
+  StreamingResult r;
+  {
+    const obs::ScopedRegistry install(registry);
+    r = run_streaming(SystemKind::kCloudFogB, shared_scenario(), o);
+  }
+  ASSERT_GT(r.segments_generated, 20'000u);
+  const obs::Counter* executed = registry.find_counter("sim.events.executed");
+  ASSERT_NE(executed, nullptr);
+  EXPECT_LE(static_cast<double>(executed->value()),
+            2.2 * static_cast<double>(r.segments_generated));
 }
 
 TEST(StreamingSim, RejectsBadOptions) {
