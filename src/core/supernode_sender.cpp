@@ -146,6 +146,12 @@ bool SupernodeSender::pop_next(FifoPacket& out, TimeMs clock) {
 
 void SupernodeSender::pump() {
   if (transmitting_) return;
+  if (input_horizon_) {
+    // The horizon holds every input still due at this timestamp, so the
+    // train arms its first packet's event whenever another submit may come.
+    run_train(sim_->now());
+    return;
+  }
   // A submit is often one of several at this timestamp (an engine tick
   // fans out a whole batch), and the later ones are invisible to both the
   // event-queue peek and the run horizon — so no inline completion here.
@@ -155,8 +161,10 @@ void SupernodeSender::pump() {
   FifoPacket item;
   if (!pop_next(item, sim_->now())) return;
   transmitting_ = true;
-  const TimeMs done =
-      sim_->now() + transmission_ms(item.packet.size_kbit, uplink_kbps_);
+  arm(item, sim_->now() + transmission_ms(item.packet.size_kbit, uplink_kbps_));
+}
+
+void SupernodeSender::arm(const FifoPacket& item, TimeMs done) {
   sim_->schedule_at(done, [this, item] {
     const TimeMs at = sim_->now();
     complete(item, at);
@@ -165,39 +173,46 @@ void SupernodeSender::pump() {
 }
 
 void SupernodeSender::run_train(TimeMs clock) {
+  FifoPacket item;
+  if (!pop_next(item, clock)) {
+    transmitting_ = false;
+    return;
+  }
+  transmitting_ = true;
+  // Read once per train: no input of this sender runs before the horizon,
+  // so nothing moves it while the train does.
+  const bool own_inputs = static_cast<bool>(input_horizon_);
+  const TimeMs inputs = own_inputs ? input_horizon_() : 0.0;
   std::size_t inline_completions = 0;
   for (;;) {
-    FifoPacket item;
-    if (!pop_next(item, clock)) {
-      transmitting_ = false;
-      return;
-    }
-    transmitting_ = true;
     const TimeMs done =
         clock + transmission_ms(item.packet.size_kbit, uplink_kbps_);
-    // Break the train whenever any sim event lands at or before this
-    // packet's completion: that event may mutate the queue (a submit, a
-    // churn drain), so the next pop decision must wait for it. The peek is
-    // a conservative lower bound — a tombstone can only break the train
-    // early, which re-arms and re-checks, never reorders anything. Past the
-    // run horizon the event set says nothing about future inputs (a direct
-    // submit() from driver code between run_*() calls, a cross-shard
-    // message delivered at the next window barrier), so the train arms a
-    // real event there and lets the calendar queue decide the interleaving
-    // — outside any run loop the horizon is -infinity and every packet
-    // takes the one-event-per-packet path.
-    if (done > sim_->run_horizon() || sim_->next_event_time() <= done ||
+    // Break the train whenever an input may land at or before this
+    // packet's completion: it may mutate the queue (a submit, a churn
+    // drain), so the next pop decision must wait for it. With an input
+    // horizon that is the horizon itself; without one, any sim event. The
+    // peek is a conservative lower bound — a tombstone can only break the
+    // train early, which re-arms and re-checks, never reorders anything.
+    // Past the run horizon the event set says nothing about future inputs
+    // (a direct submit() from driver code between run_*() calls, a
+    // cross-shard message delivered at the next window barrier), so the
+    // train arms a real event there and lets the calendar queue decide the
+    // interleaving — outside any run loop the horizon is -infinity and
+    // every packet takes the one-event-per-packet path.
+    const bool input_due =
+        own_inputs ? done >= inputs : sim_->next_event_time() <= done;
+    if (done > sim_->run_horizon() || input_due ||
         inline_completions + 1 >= burst_limit_) {
-      sim_->schedule_at(done, [this, item] {
-        const TimeMs at = sim_->now();
-        complete(item, at);
-        run_train(at);
-      });
+      arm(item, done);
       return;
     }
     complete(item, done);
     ++inline_completions;
     clock = done;
+    if (!pop_next(item, clock)) {
+      transmitting_ = false;
+      return;
+    }
   }
 }
 

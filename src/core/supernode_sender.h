@@ -13,23 +13,31 @@
 // sent packets for each player", Eq 13).
 //
 // Burst transmission (DESIGN.md §14): the uplink drains in back-to-back
-// trains. A submit on an idle uplink never completes inline — it pops one
-// packet and arms its completion event (the submit is often one of a batch
-// at the same timestamp, and the later ones are invisible to any peek);
-// trains run from the sender's own completion events. There, after popping
-// a packet the sender computes its completion time `done` against an
-// explicitly threaded clock; if `done` is within the simulator's run
-// horizon and no sim event lands at or before it (and the burst limit
-// allows) the packet completes *inline* at `done` and the train continues
-// — otherwise one sim event is armed at `done` and the train resumes
-// there. The timeline is identical to the old
-// one-event-per-packet sender: a train only skips event-queue round trips
-// that nothing could observe — the run-horizon gate keeps it honest where
-// the event queue is blind (direct submits between run_*() calls, shard
-// window barriers). Contract this imposes on delivery callbacks:
-// they run logically at PacketDelivery::sent_ms, which mid-train is ahead
-// of Simulator::now() — take times from the delivery record, never from
-// the sim clock.
+// trains. After popping a packet the sender computes its completion time
+// `done` against an explicitly threaded clock; if `done` is within the
+// simulator's run horizon, no input of the sender may land at or before
+// it, and the burst limit allows, the packet completes *inline* at `done`
+// and the train continues — otherwise one sim event is armed at `done` and
+// the train resumes there. An input is anything that may change the queue:
+//
+//   * Without an input-horizon hook (the default) the sender cannot tell
+//     its inputs from other events, so any sim event is one. A submit on
+//     an idle uplink never completes inline — it pops one packet and arms
+//     its completion event (the submit is often one of a batch at the same
+//     timestamp, and the later ones are invisible to any peek); trains run
+//     from the sender's own completion events.
+//   * With one (set_input_horizon) the owner names the earliest time any
+//     input may land, so a train runs past unrelated events, and a submit
+//     on an idle uplink starts the train at once: a same-time submit still
+//     due keeps the horizon at now.
+//
+// The timeline is identical to the old one-event-per-packet sender: a
+// train only skips event-queue round trips that nothing could observe —
+// the run-horizon gate keeps it honest where the event queue is blind
+// (direct submits between run_*() calls, shard window barriers). Contract
+// this imposes on delivery callbacks: they run logically at
+// PacketDelivery::sent_ms, which mid-train is ahead of Simulator::now() —
+// take times from the delivery record, never from the sim clock.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +94,11 @@ class SupernodeSender {
   /// PacketDelivery::sent_ms — mid-train that is ahead of Simulator::now(),
   /// so read times from the record, not from the sim clock.
   using DeliveryFn = util::small_function<void(const PacketDelivery&), 64>;
+  /// Optional: the earliest time at which anything other than this
+  /// sender's own train may change its queue (a submit, a backlog drain).
+  /// It may only move while no train runs, and must count an input still
+  /// due at the current time.
+  using InputHorizonFn = util::small_function<TimeMs()>;
 
   SupernodeSender(sim::Simulator& sim, Kbps uplink_kbps, Discipline discipline,
                   DeadlineSchedulerConfig scheduler_config,
@@ -119,6 +132,14 @@ class SupernodeSender {
   /// through the delivery observer with lost = true.
   /// Optional: null means "lossless", and complete() null-guards before sampling.
   void set_loss_model(LossFn loss) { loss_ = std::move(loss); }  // lint:allow(trust-boundary)
+
+  /// Installs the input horizon: a train then stops only at a packet that
+  /// would finish at or after it, not at any sim event, and a submit on an
+  /// idle uplink starts the train inline. Call before the first submit.
+  /// Optional: null keeps the any-event rule, and every site null-guards.
+  void set_input_horizon(InputHorizonFn horizon) {  // lint:allow(trust-boundary)
+    input_horizon_ = std::move(horizon);
+  }
 
   /// Caps how many packets one train completes inline before the sender
   /// falls back to arming a sim event (default: unlimited). A limit of 1
@@ -161,11 +182,14 @@ class SupernodeSender {
 
   /// Enqueues a segment whose content is locally available (post-cache).
   void enqueue_ready(const stream::VideoSegment& segment);
-  /// If the uplink is idle, pops one packet and arms its completion event
-  /// (never inline — same-timestamp submits may still be pending).
+  /// If the uplink is idle, starts a train: inline with an input horizon,
+  /// otherwise by popping one packet and arming its completion event
+  /// (same-timestamp submits may still be pending).
   void pump();
+  /// Arms the completion event of `item` at `done`; the train resumes there.
+  void arm(const FifoPacket& item, TimeMs done);
   /// Drains the queue back-to-back from `clock` (>= sim time) until it
-  /// empties, a sim event intervenes, or the burst limit is hit.
+  /// empties, an input may intervene, or the burst limit is hit.
   void run_train(TimeMs clock);
   /// Pops the next packet under the current discipline.
   bool pop_next(FifoPacket& out, TimeMs clock);
@@ -190,6 +214,7 @@ class SupernodeSender {
   PropagationFn propagation_;
   RateCapFn rate_cap_;
   LossFn loss_;
+  InputHorizonFn input_horizon_;
   DeliveryFn on_delivery_;
   cache::EdgeCacheService* cache_service_ = nullptr;  // optional, not owned
   NodeId cache_self_ = kInvalidNode;  // this supernode's id in the service

@@ -53,6 +53,14 @@
 // measure-zero. Adaptation ticks stay periodic events: they write the
 // quality level the completion reads.
 //
+// Sender trains: a packet sender without a segment cache stops a burst
+// train only before its own earliest input (InputBlock: its players' next
+// segment and adaptation ticks and pending completions, its supernode's
+// next churn), not at any engine event, and a submit on an idle uplink
+// starts the train at once. So a sender costs an event per train, not per
+// packet. Senders with a cache keep the any-event rule: a cache delivery
+// is an input at a time no block knows.
+//
 // Receive buffers: a delivery is not an event. It waits in the player's
 // pending-arrival list (systems/pending_arrivals.h) until the player's
 // adaptation tick, the only reader of the buffer, applies it in the order
@@ -133,6 +141,8 @@ struct ShardPlayer {
   bool qoe_reported : 1 = false;  // see report_qoe()
   /// The next segment tick is an engine event (see run_ticks()).
   bool tick_armed : 1 = false;
+  /// This player's input times are in its packet sender's InputBlock.
+  bool in_input_block : 1 = false;
   /// Pending actions that draw from `rng`: pipeline completions and cache
   /// deliveries (players not at risk of churn only).
   std::uint16_t in_flight = 0;
@@ -184,6 +194,50 @@ struct PlayerAdaptation {
   PendingArrivals arrivals;  // deliveries the buffer has not seen yet
 };
 
+/// The inputs of one packet sender (DESIGN.md §13, "Sender trains"): the
+/// times at which anything other than its own burst train may change its
+/// queue. Each of its players' next segment tick and next adaptation tick,
+/// their pending pipeline completions, and the supernode's next churn
+/// instant. Inputs that will never run (a tick at or after the window end,
+/// churn after the last) are left out. A multiset: an entry stands for
+/// whichever input has its time, so two inputs at one time need no
+/// bookkeeping of which is which.
+class InputBlock {
+ public:
+  void add(TimeMs t) {
+    times_.insert(std::upper_bound(times_.begin(), times_.end(), t,
+                                   std::greater<TimeMs>()),
+                  t);
+  }
+  /// The input at `from` moved to `to`.
+  void replace(TimeMs from, TimeMs to) {
+    remove(from);
+    add(to);
+  }
+  void remove(TimeMs t) {
+    // Most inputs leave the block as they run, when they are the earliest.
+    if (!times_.empty() && times_.back() == t) {
+      times_.pop_back();
+      return;
+    }
+    const auto it = std::lower_bound(times_.begin(), times_.end(), t,
+                                     std::greater<TimeMs>());
+    CF_INVARIANT(it != times_.end() && *it == t,
+                 "sender input block lost an input");
+    times_.erase(it);
+  }
+  /// The sender's input horizon.
+  TimeMs earliest() const {
+    return times_.empty() ? std::numeric_limits<TimeMs>::infinity()
+                          : times_.back();
+  }
+
+ private:
+  // Descending: the earliest input, which each train reads and which an
+  // input removes as it runs, is the last element.
+  std::vector<TimeMs> times_;
+};
+
 /// Per-supernode byte ledger, filled in the node's own event order by the
 /// cache serve observer and reduced in NodeId order — the K-invariant
 /// replacement for the service's fleet-order byte accumulators.
@@ -207,6 +261,9 @@ struct Shard {
   // so the slab must not grow once the first event runs — every sender is
   // created in setup_senders().
   stream::SlabStore<core::SupernodeSender> packet_store;
+  // Each packet sender's inputs, created in step with packet_store so a
+  // sender's handle names its block too. Filled only without a cache.
+  stream::SlabStore<InputBlock> input_blocks;
   // Open packet-level segments, keyed by VideoSegment::delivery_tag; slots
   // are global player slots.
   SegmentLedger segments;
@@ -329,6 +386,10 @@ class StreamingEngine {
   /// an earlier action and the tick's own time.
   static bool folds_ticks(const ShardPlayer& ps) {
     return ps.failover == kNoIndex;
+  }
+  /// The input block of the player's packet sender (in_input_block only).
+  InputBlock& inputs_of(const ShardPlayer& ps) {
+    return shards_[ps.shard]->input_blocks.get(ps.packet_sender);
   }
   static void begin_action(ShardPlayer& ps) {
     if (!folds_ticks(ps)) return;
@@ -646,6 +707,8 @@ void StreamingEngine::setup_senders() {
                 on_packet_delivery(s, d);
               }),
           jitter_base_.fork("sn" + std::to_string(server)));
+      CF_CHECK_MSG(sh.input_blocks.create() == handle,
+                   "sender input blocks out of step with the senders");
       core::SupernodeSender& sender = sh.packet_store.get(handle);
       // The delivery tag is the segment ledger's slab handle: every
       // per-packet hook reaches its player's state with two array indexes,
@@ -660,11 +723,23 @@ void StreamingEngine::setup_senders() {
           [this, s](const stream::VideoSegment& seg, int) {
             shards_[s]->segments.on_drop(seg.delivery_tag, qoe_of());
           });
-      if (sh.cache) sender.attach_segment_cache(&*sh.cache, server);
       info.sender = handle;
       for (std::size_t slot : info.player_slots) {
         players_[slot].packet_sender = handle;
         packet_slot_[players_[slot].host] = static_cast<std::uint32_t>(slot);
+      }
+      if (sh.cache) {
+        // Cache deliveries are inputs too, at times no block knows: these
+        // senders keep the any-event rule.
+        sender.attach_segment_cache(&*sh.cache, server);
+      } else {
+        sender.set_input_horizon([this, s, handle] {
+          return shards_[s]->input_blocks.get(handle).earliest();
+        });
+        if (!info.churn.empty())
+          sh.input_blocks.get(handle).add(info.churn.front().when_ms);
+        for (std::size_t slot : info.player_slots)
+          players_[slot].in_input_block = true;
       }
     } else {
       const stream::StoreHandle queue = sh.fluid_store.create(info.uplink_kbps);
@@ -724,7 +799,10 @@ void StreamingEngine::setup_churn() {
 void StreamingEngine::start_segment_ticks() {
   const TimeMs period = scenario_.params().segment_period_ms();
   for (std::size_t slot = 0; slot < players_.size(); ++slot) {
-    players_[slot].next_tick = players_[slot].rng.uniform(0.0, period);
+    ShardPlayer& ps = players_[slot];
+    ps.next_tick = ps.rng.uniform(0.0, period);
+    if (ps.in_input_block && ps.next_tick < window_end())
+      inputs_of(ps).add(ps.next_tick);
     arm_tick(slot);
   }
 }
@@ -740,6 +818,7 @@ void StreamingEngine::start_adaptation_ticks() {
     sh.buffer_store.get(ps.buffer).on_arrival(0.0, tau);
     // Drawn after the phase of start_segment_ticks from the same stream.
     const TimeMs tick_phase = ps.rng.uniform(0.0, options_.adaptation_tick_ms);
+    if (ps.in_input_block) inputs_of(ps).add(sh.sim->now() + tick_phase);
     sh.sim->schedule_every(tick_phase, options_.adaptation_tick_ms,
                            [this, slot] { adaptation_tick(slot); });
   }
@@ -784,6 +863,15 @@ TimeMs StreamingEngine::segment_tick(std::size_t slot) {
   ps.next_tick = t0 + params.segment_period_ms();
   begin_action(ps);
   const TimeMs done = t0 + pipeline;
+  if (ps.in_input_block) {
+    InputBlock& inputs = inputs_of(ps);
+    inputs.add(done);
+    if (ps.next_tick < window_end()) {
+      inputs.replace(t0, ps.next_tick);
+    } else {
+      inputs.remove(t0);
+    }
+  }
   sh.sim->schedule_at(done, [this, slot, t0] { enqueue_segment(slot, t0); });
   return done;
 }
@@ -813,6 +901,8 @@ void StreamingEngine::end_action(std::size_t slot) {
 void StreamingEngine::enqueue_segment(std::size_t slot, TimeMs t0) {
   ShardPlayer& ps = players_[slot];
   Shard& sh = *shards_[ps.shard];
+  // Out of the block before the submit, whose train reads the horizon.
+  if (ps.in_input_block) inputs_of(ps).remove(sh.sim->now());
   const TimeMs period = scenario_.params().segment_period_ms();
   stream::VideoSegment seg =
       sh.factory.make(ps.host, ps.profile->id, ps.level, period, t0);
@@ -919,6 +1009,11 @@ void StreamingEngine::adaptation_tick(std::size_t slot) {
   Shard& sh = *shards_[ps.shard];
   stream::ReceiverBuffer& buffer = sh.buffer_store.get(ps.buffer);
   PlayerAdaptation& adapt = adaptation_[slot];
+  // The periodic event re-armed itself at now + period before running.
+  if (ps.in_input_block) {
+    inputs_of(ps).replace(sh.sim->now(),
+                       sh.sim->now() + options_.adaptation_tick_ms);
+  }
   adapt.arrivals.before_tick(buffer, sh.sim->now());
   const TimeMs period = scenario_.params().segment_period_ms();
   const Kbps playback = game::quality_for_level(ps.level).bitrate_kbps;
@@ -939,6 +1034,18 @@ void StreamingEngine::adaptation_tick(std::size_t slot) {
 void StreamingEngine::apply_churn(NodeId server, bool leave) {
   const SupernodeInfo& info = sn_infos_.at(server);
   Shard& sh = *shards_[info.shard];
+  if (uses_scheduling(kind_) && !sh.cache) {
+    const TimeMs now = sh.sim->now();
+    const auto next = std::upper_bound(
+        info.churn.begin(), info.churn.end(), now,
+        [](TimeMs t, const SupernodeChurnEvent& ev) { return t < ev.when_ms; });
+    InputBlock& inputs = sh.input_blocks.get(info.sender);
+    if (next != info.churn.end()) {
+      inputs.replace(now, next->when_ms);
+    } else {
+      inputs.remove(now);
+    }
+  }
   if (leave) {
     if (sh.cache && sh.cache->has_supernode(server)) {
       sh.cache->remove_supernode(server);

@@ -231,6 +231,51 @@ TEST(GoldenDigest, LongPipelinesMatchPinnedValues) {
   }
 }
 
+/// A supernode uplink a tenth of the default: every packet sender carries
+/// a deep backlog, so one burst train outlasts a whole action pipeline
+/// (uplink, compute, feed and render). A train that ran past any input of
+/// its sender (a segment tick and the submit its completion makes, an
+/// adaptation tick, another player's completion) would reorder packets
+/// here.
+struct DeepBacklogCase {
+  const char* name;
+  SystemKind kind;
+  std::uint64_t digest;
+  std::uint64_t stalls;
+};
+
+StreamingResult run_deep_backlog(SystemKind kind, std::size_t shards) {
+  ScenarioParams p = golden_params(shards);
+  p.supernode_kbps_per_slot /= 10.0;
+  return run_streaming(kind, Scenario::build(p), golden_options());
+}
+
+// Recorded before packet senders stopped their trains at their own inputs.
+constexpr DeepBacklogCase kDeepBacklogs[] = {
+    {"CloudFogA", SystemKind::kCloudFogA, 0x3cb8a8f61f10000bull, 5066},
+    {"CloudFogSchedule", SystemKind::kCloudFogSchedule, 0x7b8be408aedbd5baull,
+     0},
+};
+
+TEST(GoldenDigest, DeepSenderBacklogsMatchPinnedValues) {
+  for (const DeepBacklogCase& c : kDeepBacklogs) {
+    for (std::size_t shards : {1u, 2u}) {
+      StreamingResult r;
+      const ObservedRun got = run_observed([&] {
+        r = run_deep_backlog(c.kind, shards);
+        return r;
+      });
+      // Not a vacuous pin: the backlog is deep enough that the deadline
+      // scheduler drops packets.
+      EXPECT_GT(r.packets_dropped, 1'000u) << c.name;
+      EXPECT_EQ(got.digest, c.digest)
+          << c.name << " at K = " << shards << ": digest " << hex(got.digest);
+      EXPECT_EQ(got.stalls, c.stalls)
+          << c.name << " at K = " << shards << ": stalls " << got.stalls;
+    }
+  }
+}
+
 
 // The packet-level experiment (Fig 10/11 and, with two supernodes, the X4
 // cooperation extension) builds its own simulator, so the streaming

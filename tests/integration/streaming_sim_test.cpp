@@ -155,6 +155,40 @@ TEST(StreamingSim, SegmentTicksAreMostlyNotEvents) {
             2.2 * static_cast<double>(r.segments_generated));
 }
 
+TEST(StreamingSim, SenderTrainsAreMostlyNotEvents) {
+  // Event budget of CloudFog/A with the end-to-end benchmark's warm-up,
+  // window and drain. A packet sender's burst train stops only before the
+  // earliest input of its own (a tick, completion or churn of its
+  // players), not at every other player's event, and a submit on an idle
+  // uplink starts the train at once. Stopping at any engine event instead
+  // reads about 6 events per window segment. At K = 2 each shard keeps its
+  // senders' input blocks, under two workers.
+  StreamingOptions o = quick_options();
+  o.warmup_ms = 2'000.0;
+  o.duration_ms = 3'000.0;
+  o.drain_ms = 1'000.0;
+  for (std::size_t shards : {1u, 2u}) {
+    ScenarioParams p = shared_scenario().params();
+    p.sim_shards = shards;
+    const Scenario scenario = Scenario::build(p);
+    o.shard_workers = shards;
+    obs::MetricsRegistry registry;
+    StreamingResult r;
+    {
+      const obs::ScopedRegistry install(registry);
+      r = run_streaming(SystemKind::kCloudFogA, scenario, o);
+    }
+    ASSERT_GT(r.segments_generated, 20'000u);
+    const obs::Counter* executed =
+        registry.find_counter("sim.events.executed");
+    ASSERT_NE(executed, nullptr);
+    EXPECT_LE(static_cast<double>(executed->value()),
+              2.7 * static_cast<double>(r.segments_generated))
+        << "K = " << shards << ": " << executed->value() << " events for "
+        << r.segments_generated << " segments";
+  }
+}
+
 TEST(StreamingSim, RejectsBadOptions) {
   StreamingOptions o;
   o.num_players = 0;
