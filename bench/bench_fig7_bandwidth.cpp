@@ -4,8 +4,8 @@
 // with CloudFog growing slowest.
 //
 // One run per player count, fanned across --jobs workers; each run builds
-// its own Scenario (the latency-model memo is not shareable) and measures
-// all three systems, so the table is bit-identical at any width.
+// its own Scenario and measures all three systems, so the table is
+// bit-identical at any width.
 #include <array>
 
 #include "bench_common.h"

@@ -20,7 +20,6 @@
 #include "core/supernode_manager.h"
 #include "net/latency_model.h"
 #include "net/topology.h"
-#include "net/uplink.h"
 #include "sim/simulator.h"
 #include "stream/queued_sender.h"
 #include "stream/video.h"
@@ -164,8 +163,8 @@ void BM_LatencyPairBias(benchmark::State& state) {
   double total = 0.0;
   std::uint32_t i = 0;
   for (auto _ : state) {
-    // 64 distinct unordered pairs, revisited round-robin — the per-session
-    // reuse pattern the streaming pipeline exhibits.
+    // 64 distinct unordered pairs, round-robin; every call derives its
+    // pair's bias afresh.
     total += model.pair_bias(i & 7u, 8u + ((i >> 3) & 7u));
     ++i;
   }
@@ -196,7 +195,7 @@ void BM_LatencySampleOneWay(benchmark::State& state) {
 BENCHMARK(BM_LatencySampleOneWay);
 
 /// A 40k-host roster and one distinct pair per host — the streaming run's
-/// per-player pairs, more of them than the pair memo holds.
+/// per-player pairs.
 constexpr std::size_t kRosterSize = 40'000;
 
 std::vector<net::Endpoint> roster_endpoints() {
@@ -215,10 +214,9 @@ std::vector<net::Endpoint> roster_endpoints() {
 std::size_t roster_peer(std::size_t i) { return (i + 20'011) % kRosterSize; }
 
 void BM_LatencySampleRoster(benchmark::State& state) {
-  // Memo-path samples cycling over the roster's pairs: unlike
-  // BM_LatencySampleOneWay's 16 hosts, most lookups miss the memo.
+  // Unresolved samples cycling over the roster's pairs, each evaluating its
+  // pair from scratch: the cost a per-sample caller would pay.
   const net::LatencyModel model(net::LatencyParams::simulation_profile(1));
-  model.reserve_endpoints(kRosterSize);
   const std::vector<net::Endpoint> eps = roster_endpoints();
   util::Rng rng(3);
   double total = 0.0;
@@ -236,7 +234,6 @@ void BM_LatencyPathSample(benchmark::State& state) {
   // The same pairs resolved once into LatencyPaths (untimed), then sampled
   // round-robin: the streaming engine's per-segment cost.
   const net::LatencyModel model(net::LatencyParams::simulation_profile(1));
-  model.reserve_endpoints(kRosterSize);
   const std::vector<net::Endpoint> eps = roster_endpoints();
   std::vector<net::LatencyPath> paths;
   paths.reserve(kRosterSize);
@@ -311,21 +308,6 @@ void BM_QueuedSenderEnqueue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueuedSenderEnqueue);
-
-void BM_FairShareUplinkChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    net::FairShareUplink uplink(sim, 10'000.0);
-    for (int i = 0; i < 64; ++i) {
-      sim.schedule_at(static_cast<double>(i), [&uplink] {
-        uplink.start_flow(100.0, 0.0, [](const net::FlowResult&) {});
-      });
-    }
-    sim.run_all();
-    benchmark::DoNotOptimize(uplink.total_delivered());
-  }
-}
-BENCHMARK(BM_FairShareUplinkChurn);
 
 void BM_DeadlineSchedulerEnqueuePop(benchmark::State& state) {
   stream::SegmentFactory factory;

@@ -23,10 +23,9 @@
 //     index + label, e.g. "seed=3 config=70ms") and rethrown on the caller
 //     as exec::RunError after every in-flight run finished.
 //
-// Runs must be self-contained: closures may not share mutable state (build
-// the Scenario *inside* the closure — latency-model memo caches are
-// per-instance and not thread-safe) and must not touch stdout/stderr;
-// print from aggregation, after execute() returns.
+// Runs must be self-contained: closures may not share mutable state (the
+// sweeps build each run's Scenario *inside* its closure) and must not
+// touch stdout/stderr; print from aggregation, after execute() returns.
 //
 // src/exec and src/shard are the only places in the repo allowed to create
 // threads (scripts/cflint, rule `raw-thread`): run-parallelism fans through

@@ -8,7 +8,7 @@
 //
 // `fn` must be a pure function of its two arguments (plus immutable
 // captures): it runs concurrently with other pairs at jobs > 1. Build
-// Scenarios and other memoizing state inside `fn`.
+// Scenarios and other per-run state inside `fn`.
 #pragma once
 
 #include <cstddef>

@@ -17,9 +17,7 @@
 // jitter (matching real measured PlanetLab path behaviour).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "net/geo.h"
 #include "util/rng.h"
@@ -63,13 +61,13 @@ struct Endpoint {
 };
 
 /// One host pair's one-way latency with everything but the per-packet
-/// jitter resolved: the pair's memoized route x bias factor and both
+/// jitter resolved: the pair's route x bias factor and both
 /// endpoints' last-mile delays. sample() is the one implementation of a
 /// jittered sample — LatencyModel::sample_one_way_ms and the Topology
 /// sample_* calls resolve a path and sample it — so a caller that samples
 /// one pair over and over can resolve it once and skip the per-sample host
-/// and memo lookups, bit for bit. Immutable; default-constructed it is the
-/// loopback path.
+/// lookups and pair evaluation, bit for bit. Immutable; default-constructed
+/// it is the loopback path.
 class LatencyPath {
  public:
   LatencyPath() = default;
@@ -91,31 +89,17 @@ class LatencyPath {
   Kind kind_ = Kind::kLoopback;
 };
 
-/// Latency calculator over endpoint pairs. Logically const: every quantity
-/// is a pure deterministic function of (params, endpoints). Internally it
-/// memoizes the per-pair route bias and great-circle distance in a set-
-/// associative cache — hits return the exact double a fresh computation
-/// would, so memoization is invisible to results (DESIGN.md §8). The cache
-/// starts at 4096 entries and is re-sized (power-of-two set counts, 4-way)
-/// by reserve_endpoints() as the topology announces its roster, so the
-/// working set of a million-player run does not thrash a fixed-size memo
-/// (DESIGN.md §12). The cache makes the model non-thread-safe: a streaming
-/// run reads it only during set-up and samples resolved LatencyPaths once
-/// its shards run, so each memo has exactly one user (DESIGN.md §13).
+/// Latency calculator over endpoint pairs. A pure function: every quantity
+/// is computed on each call from (params, endpoints), and the model holds
+/// nothing but its parameters, so one const model — and the Topology that
+/// holds it — can be read from any number of threads at once (DESIGN.md
+/// §8.2). Hot callers resolve a LatencyPath once instead of re-evaluating
+/// the pair per sample.
 class LatencyModel {
  public:
-  explicit LatencyModel(LatencyParams params)
-      : params_(params),
-        cache_(kPairCacheMinSets * kPairCacheWays),
-        rr_(kPairCacheMinSets, 0) {}
+  explicit LatencyModel(LatencyParams params) : params_(params) {}
 
   const LatencyParams& params() const { return params_; }
-
-  /// Scales the pair memo to a roster of `num_endpoints` hosts: the set
-  /// count becomes the clamped next power of two. Called by Topology as
-  /// hosts register; safe at any time (a re-size discards memoized lines —
-  /// results are unaffected, every line is recomputable).
-  void reserve_endpoints(std::size_t num_endpoints) const;
 
   /// Deterministic expected one-way latency (ms) between two endpoints.
   /// Symmetric: expected(a, b) == expected(b, a).
@@ -125,8 +109,8 @@ class LatencyModel {
   /// from the spatial index's candidate list). `d_km` MUST be the exact
   /// haversine_km double for the endpoints' positions (haversine is
   /// bit-identically symmetric, so argument order does not matter); the
-  /// result and the memo state are then bit-identical to the two-argument
-  /// overload, minus the recomputation. CF_DCHECKed against the memo.
+  /// result is then bit-identical to the two-argument overload, minus the
+  /// recomputation. CF_DCHECKed against a fresh haversine.
   TimeMs expected_one_way_ms(const Endpoint& a, const Endpoint& b,
                              double d_km) const;
 
@@ -134,7 +118,7 @@ class LatencyModel {
   TimeMs sample_one_way_ms(const Endpoint& a, const Endpoint& b,
                            util::Rng& rng) const;
 
-  /// The pair's resolved latency path (one memo lookup now, none per
+  /// The pair's resolved latency path (one pair evaluation now, none per
   /// sample): path(a, b).sample(rng, params().jitter_sigma) is
   /// sample_one_way_ms(a, b, rng), bit for bit.
   LatencyPath path(const Endpoint& a, const Endpoint& b) const;
@@ -145,12 +129,10 @@ class LatencyModel {
   }
 
   /// The deterministic multiplicative route bias for a pair (exposed for
-  /// tests and trace generation). Memoized; == pair_bias_uncached always.
+  /// tests and trace generation). Symmetric in its arguments. Every pair
+  /// the model evaluates goes through here once, which counts it in
+  /// net.latency.pair_queries.
   double pair_bias(NodeId a, NodeId b) const;
-
-  /// pair_bias computed from scratch, bypassing the memo — the reference
-  /// the memo is tested against.
-  double pair_bias_uncached(NodeId a, NodeId b) const;
 
   /// The unbiased backbone component (fiber + routers) of a pair's path.
   TimeMs route_ms(const Endpoint& a, const Endpoint& b) const;
@@ -170,41 +152,10 @@ class LatencyModel {
   double loss_probability(const Endpoint& a, const Endpoint& b) const;
 
  private:
-  /// One memo line. Keyed on the unordered id pair; the bias is valid
-  /// whenever the keys match (it depends only on seed + ids), the distance
-  /// additionally requires the stored positions to match — node ids can be
-  /// rebound to new coordinates across topologies sharing a model (tests
-  /// do), so a hit must prove it cached *these* coordinates.
-  struct PairEntry {
-    NodeId lo = kInvalidNode;
-    NodeId hi = kInvalidNode;
-    GeoPoint lo_pos, hi_pos;
-    double bias = 0.0;
-    double d_km = -1.0;  // < 0: distance half not populated
-  };
-  static constexpr std::size_t kPairCacheWays = 4;
-  /// 1024 sets x 4 ways = the 4096-entry footprint small runs always had.
-  static constexpr std::size_t kPairCacheMinSets = 1024;
-  /// 4096 sets x 4 ways x 56 B ~ 0.9 MB. Deliberately cache-resident: on a
-  /// large roster the join/probe traffic is dominated by first-contact
-  /// pairs (compulsory misses), so growing the memo past the L2 footprint
-  /// buys no hits and turns every miss into a DRAM round-trip — measured
-  /// ~2x slower probes at 100k players with a 15 MB memo.
-  static constexpr std::size_t kPairCacheMaxSets = std::size_t{1} << 12;
-
-  /// The memo line whose (bias, keys) cover the pair: associative lookup,
-  /// round-robin eviction within the set on a miss. Distance freshness is
-  /// the caller's business (pair_entry).
-  PairEntry& find_line(NodeId lo, NodeId hi) const;
-  /// Returns the memo line for the pair, populated/refreshed as needed.
-  const PairEntry& pair_entry(const Endpoint& a, const Endpoint& b) const;
   /// Backbone latency for a known great-circle distance.
   TimeMs route_from_km(double d_km) const;
 
   LatencyParams params_;
-  mutable std::vector<PairEntry> cache_;  // sets_ x kPairCacheWays lines
-  mutable std::vector<std::uint8_t> rr_;  // per-set round-robin victim
-  mutable std::size_t sets_ = kPairCacheMinSets;
 };
 
 }  // namespace cloudfog::net

@@ -31,10 +31,6 @@ NodeId Topology::add_host(HostRole role, GeoPoint position, TimeMs last_mile_ms,
   h.cos_lat = cos_lat(position);
   h.label = std::move(label);
   hosts_.push_back(std::move(h));
-  // Keep the latency model's pair memo scaled to the roster (resizing only
-  // on power-of-two crossings; dropped memo lines are recomputable, so
-  // results never depend on when this happens).
-  model_.reserve_endpoints(hosts_.size());
   return hosts_.back().id;
 }
 
@@ -132,18 +128,6 @@ TimeMs Topology::expected_rtt_ms(NodeId a, NodeId b) const {
 
 TimeMs Topology::sample_one_way_ms(NodeId a, NodeId b, util::Rng& rng) const {
   return path(a, b).sample(rng, jitter_sigma());
-}
-
-std::vector<NodeId> Topology::sorted_by_latency(
-    NodeId from, const std::vector<NodeId>& candidates) const {
-  std::vector<std::pair<TimeMs, NodeId>> keyed;
-  keyed.reserve(candidates.size());
-  for (NodeId c : candidates) keyed.emplace_back(expected_one_way_ms(from, c), c);
-  std::sort(keyed.begin(), keyed.end());
-  std::vector<NodeId> out;
-  out.reserve(keyed.size());
-  for (const auto& [lat, id] : keyed) out.push_back(id);
-  return out;
 }
 
 NodeId Topology::nearest(NodeId from, const std::vector<NodeId>& candidates) const {

@@ -94,7 +94,7 @@ class Topology {
 
   /// The pair's latency path, resolved once (an attached trace included):
   /// path(a, b).sample(rng, jitter_sigma()) is sample_one_way_ms(a, b, rng)
-  /// bit for bit, minus the per-sample host and memo lookups.
+  /// bit for bit, minus the per-sample host lookups and pair evaluation.
   LatencyPath path(NodeId a, NodeId b) const;
   /// As path(), for the serving direction: sample_server_one_way_ms.
   LatencyPath server_path(NodeId server, NodeId client) const;
@@ -124,11 +124,6 @@ class Topology {
   /// Per-packet loss probability between two hosts / along a serving path.
   double loss_probability(NodeId a, NodeId b) const;
   double server_loss_probability(NodeId server, NodeId client) const;
-
-  /// Candidates sorted ascending by expected one-way latency from `from`.
-  /// Ties broken by id for determinism.
-  std::vector<NodeId> sorted_by_latency(NodeId from,
-                                        const std::vector<NodeId>& candidates) const;
 
   /// The single nearest candidate (by expected one-way latency); requires a
   /// non-empty candidate list.

@@ -159,8 +159,7 @@ CoverageSweepOutcome measure_coverage_averaged(
     exec::RunExecutor& executor) {
   CF_CHECK_MSG(!seed_params.empty(), "need at least one seed");
 
-  // Phase 1 — build one scenario per seed (each inside its own run: the
-  // latency-model memo caches are per-instance and single-threaded).
+  // Phase 1 — build one scenario per seed, each inside its own run.
   using ScenarioPtr = std::shared_ptr<const Scenario>;
   std::vector<std::pair<std::string, std::function<ScenarioPtr()>>> builds;
   builds.reserve(seed_params.size());

@@ -66,8 +66,7 @@ DynamicSimResult run_dynamic_sim(const Scenario& scenario,
 
 /// One self-contained dynamic run for the parallel batch entry point: the
 /// scenario is specified by parameters, not by reference, so every run
-/// builds (and exclusively owns) its own Scenario — the scenario's
-/// latency-model memo caches are not safe to share across workers.
+/// builds (and exclusively owns) its own Scenario.
 struct DynamicRunSpec {
   ScenarioParams scenario;
   DynamicSimOptions options;

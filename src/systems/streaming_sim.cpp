@@ -22,8 +22,8 @@
 //     digest is invariant in the shard count.
 //   * Every latency the run samples is a net::LatencyPath resolved at
 //     setup (a player's uplink, feed and stream path, an at-risk player's
-//     failover path). Once the cluster runs no shard reads the topology,
-//     so all K share the Scenario's, whose pair memo is not thread-safe.
+//     failover path). Once the cluster runs no shard reads the topology;
+//     all K share the Scenario's, which is immutable.
 //   * All result reduction happens in a canonical order: per-player
 //     accumulators (QoE records included) in global slot order, which is
 //     population-index order, and per-supernode byte ledgers in NodeId
@@ -125,7 +125,8 @@ inline constexpr std::uint32_t kNoIndex =
 /// the game profile is a pointer into the static catalog, and the rate
 /// adaptation state lives in StreamingEngine::adaptation_ (adaptive kinds
 /// only). The host pairs a player samples every segment are resolved once
-/// at setup, so the per-segment path reads no host table and no pair memo.
+/// at setup, so the per-segment path reads no host table and evaluates no
+/// pair.
 struct ShardPlayer {
   NodeId host = kInvalidNode;
   int level = 0;
@@ -209,23 +210,22 @@ class InputBlock {
                                    std::greater<TimeMs>()),
                   t);
   }
-  /// The input at `from` moved to `to`.
+  /// The input at `from` moved to `to`: one rotate carries it from its old
+  /// place to where add(to) would have put it.
   void replace(TimeMs from, TimeMs to) {
-    remove(from);
-    add(to);
-  }
-  void remove(TimeMs t) {
-    // Most inputs leave the block as they run, when they are the earliest.
-    if (!times_.empty() && times_.back() == t) {
-      times_.pop_back();
-      return;
+    const auto it = find(from);
+    *it = to;
+    if (to > from) {
+      std::rotate(std::upper_bound(times_.begin(), it, to,
+                                   std::greater<TimeMs>()),
+                  it, it + 1);
+    } else {
+      std::rotate(it, it + 1,
+                  std::upper_bound(it + 1, times_.end(), to,
+                                   std::greater<TimeMs>()));
     }
-    const auto it = std::lower_bound(times_.begin(), times_.end(), t,
-                                     std::greater<TimeMs>());
-    CF_INVARIANT(it != times_.end() && *it == t,
-                 "sender input block lost an input");
-    times_.erase(it);
   }
+  void remove(TimeMs t) { times_.erase(find(t)); }
   /// The sender's input horizon.
   TimeMs earliest() const {
     return times_.empty() ? std::numeric_limits<TimeMs>::infinity()
@@ -233,6 +233,16 @@ class InputBlock {
   }
 
  private:
+  std::vector<TimeMs>::iterator find(TimeMs t) {
+    // Most inputs leave or move as they run, when they are the earliest.
+    if (!times_.empty() && times_.back() == t) return times_.end() - 1;
+    const auto it = std::lower_bound(times_.begin(), times_.end(), t,
+                                     std::greater<TimeMs>());
+    CF_INVARIANT(it != times_.end() && *it == t,
+                 "sender input block lost an input");
+    return it;
+  }
+
   // Descending: the earliest input, which each train reads and which an
   // input removes as it runs, is the last element.
   std::vector<TimeMs> times_;

@@ -104,9 +104,7 @@ StreamingResult run_streaming(SystemKind kind, const Scenario& scenario,
 
 /// One self-contained streaming run for the parallel batch entry point:
 /// the scenario is specified by parameters, not by reference, so every run
-/// builds (and exclusively owns) its own Scenario — required because the
-/// scenario's latency-model memo caches are not safe to share across
-/// concurrently executing runs.
+/// builds (and exclusively owns) its own Scenario.
 struct StreamingRunSpec {
   SystemKind kind = SystemKind::kCloud;
   ScenarioParams scenario;

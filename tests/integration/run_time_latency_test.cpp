@@ -1,9 +1,9 @@
 // Every latency the streaming engine samples while its event loop runs is a
-// path resolved at setup (DESIGN.md §13), so no shard reads the topology's
-// pair memo during the run and all shards can share the scenario's topology.
-// Observable contract: the number of pair-memo lookups is a function of the
-// setup alone — two runs that differ only in the length of the measurement
-// window do exactly as many. Covered per run-time sampler: packet-level
+// path resolved at setup (DESIGN.md §13), so no shard evaluates a latency
+// pair during the run. Observable contract: the number of pairs the latency
+// model evaluates (net.latency.pair_queries) is a function of the setup
+// alone — two runs that differ only in the length of the measurement
+// window evaluate exactly as many. Covered per run-time sampler: packet-level
 // senders and the drained-backlog failover (CloudFog/A), fluid failover
 // streaming (CloudFog-adapt with the cooperative cache), each at one and at
 // two shards.
@@ -30,7 +30,7 @@ ScenarioParams churn_params(std::size_t shards, bool cache) {
   return p;
 }
 
-struct MemoRun {
+struct CountedRun {
   std::uint64_t lookups = 0;
   std::uint64_t segments = 0;
 };
@@ -39,7 +39,7 @@ struct MemoRun {
 /// never returns: past the horizon of a 1 s window, inside a 3 s one. Only
 /// the longer run drains packet backlogs and streams over the failover
 /// paths, which setup resolves for both.
-MemoRun run_counting(SystemKind kind, const ScenarioParams& params,
+CountedRun run_counting(SystemKind kind, const ScenarioParams& params,
                      double duration_ms) {
   const Scenario scenario = Scenario::build(params);
   StreamingOptions o;
@@ -53,24 +53,21 @@ MemoRun run_counting(SystemKind kind, const ScenarioParams& params,
     o.supernode_churn.push_back({2'500.0, sns[i], true});
 
   obs::MetricsRegistry registry;
-  MemoRun run;
+  CountedRun run;
   {
     obs::ScopedRegistry install(registry);
     run.segments = run_streaming(kind, scenario, o).segments_generated;
   }
-  for (const char* name :
-       {"net.latency.pair_memo.hits", "net.latency.pair_memo.misses"}) {
-    if (const obs::Counter* c = registry.find_counter(name))
-      run.lookups += c->value();
-  }
+  if (const obs::Counter* c = registry.find_counter("net.latency.pair_queries"))
+    run.lookups = c->value();
   return run;
 }
 
 void expect_lookups_independent_of_duration(SystemKind kind, bool cache) {
   for (std::size_t shards : {1u, 2u}) {
     const ScenarioParams params = churn_params(shards, cache);
-    const MemoRun short_run = run_counting(kind, params, 1'000.0);
-    const MemoRun long_run = run_counting(kind, params, 3'000.0);
+    const CountedRun short_run = run_counting(kind, params, 1'000.0);
+    const CountedRun long_run = run_counting(kind, params, 3'000.0);
     EXPECT_GT(long_run.segments, short_run.segments) << "shards " << shards;
     EXPECT_GT(short_run.lookups, 0u) << "shards " << shards;
     EXPECT_EQ(long_run.lookups, short_run.lookups) << "shards " << shards;

@@ -73,17 +73,6 @@ TEST(Topology, NearestRejectsEmptyCandidates) {
   EXPECT_THROW(topo.nearest(2, {}), std::logic_error);
 }
 
-TEST(Topology, SortedByLatencyAscending) {
-  Topology topo = small_world();
-  const auto order = topo.sorted_by_latency(2, {0, 1, 3});
-  ASSERT_EQ(order.size(), 3u);
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(topo.expected_one_way_ms(2, order[i - 1]),
-              topo.expected_one_way_ms(2, order[i]));
-  }
-  EXPECT_EQ(order.front(), 0u);
-}
-
 TEST(Topology, NegativeLastMileRejected) {
   Topology topo(LatencyModel(LatencyParams::simulation_profile()));
   EXPECT_THROW(topo.add_host(HostRole::kPlayer, {40.0, -75.0}, -1.0),
@@ -152,7 +141,7 @@ TEST(LatencyPath, SamplesBitIdenticalToTheMemoPath) {
 }
 
 TEST(LatencyPath, KeepsTheModelsExpressionOrder) {
-  // The memo path's arithmetic spelled out from public model pieces:
+  // The unresolved path's arithmetic spelled out from public model pieces:
   // (route x bias) x jitter + last_mile_a + last_mile_b, one jitter draw.
   Topology topo = small_world();
   const LatencyModel& m = topo.model();

@@ -10,7 +10,6 @@
 #include "core/deadline_scheduler.h"
 #include "core/rate_adaptation.h"
 #include "core/supernode_sender.h"
-#include "net/uplink.h"
 #include "sim/simulator.h"
 #include "stream/queued_sender.h"
 #include "stream/video.h"
@@ -208,39 +207,6 @@ TEST_P(QueuedSenderCausality, SchedulesAreMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueuedSenderCausality,
                          ::testing::Values(7u, 17u, 27u, 37u));
-
-// ---------------------------------------------------------------------------
-// FairShareUplink: everything submitted is eventually delivered, and the
-// deadline accounting never exceeds the flow size.
-class UplinkConservation : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(UplinkConservation, AllBitsDelivered) {
-  util::Rng rng(GetParam());
-  sim::Simulator sim;
-  net::FairShareUplink uplink(sim, rng.uniform(1'000.0, 20'000.0));
-  double submitted = 0.0;
-  int completions = 0;
-  for (int i = 0; i < 80; ++i) {
-    const TimeMs at = rng.uniform(0.0, 500.0);
-    const Kbit size = rng.uniform(1.0, 300.0);
-    const TimeMs deadline = rng.bernoulli(0.5) ? at + rng.uniform(1.0, 400.0) : 0.0;
-    submitted += size;
-    sim.schedule_at(at, [&, size, deadline] {
-      uplink.start_flow(size, deadline, [&](const net::FlowResult& r) {
-        ++completions;
-        EXPECT_LE(r.delivered_by_deadline, r.size + 1e-9);
-        EXPECT_GE(r.delivered_by_deadline, -1e-9);
-      });
-    });
-  }
-  sim.run_all();
-  EXPECT_EQ(completions, 80);
-  EXPECT_NEAR(uplink.total_delivered(), submitted, 1e-6);
-  EXPECT_EQ(uplink.active_flows(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, UplinkConservation,
-                         ::testing::Values(5u, 15u, 25u, 35u, 45u));
 
 }  // namespace
 }  // namespace cloudfog
