@@ -1,17 +1,19 @@
-"""Hot-path allocation rule: no std::function in the packet-path subsystems.
+"""Hot-path allocation rule: no std::function in the per-event subsystems.
 
 The packet-path overhaul (DESIGN.md §14) replaced `std::function` with
 `util::small_function<Sig, Capacity>` throughout src/sim, src/core and
-src/stream: `std::function` promises to hold *any* callable, so non-tiny
-captures heap-allocate, and on the packet hot loop (sim callbacks, sender
-hooks, drop observers) those allocations dominated the profile. This rule
-makes the conversion structural — naming `std::function` in one of the
-hot-path subsystems fails the lint the moment it is written, so a future
-convenience lambda cannot quietly reintroduce per-event allocation. Cold
-paths with a genuine need (recursive self-reference, unbounded captures)
-take a `// lint:allow(std-function)` waiver with a justification; code in
-other subsystems (exec, cache, shard, systems fan-out plumbing) is out of
-scope by design.
+src/stream, and the cache serve path followed in src/cache (serve
+observer, fetch interceptor, deliveries, deferred jobs) and src/shard
+(cross-shard messages): `std::function` promises to hold *any* callable,
+so non-tiny captures heap-allocate, and on the per-event loop (sim
+callbacks, sender hooks, cache hooks, probe messages) those allocations
+dominated the profile. This rule makes the conversion structural — naming
+`std::function` in one of these subsystems fails the lint the moment it is
+written, so a future convenience lambda cannot quietly reintroduce
+per-event allocation. Cold paths with a genuine need (recursive
+self-reference, unbounded captures) take a `// lint:allow(std-function)`
+waiver with a justification; code in other subsystems (exec, systems
+fan-out plumbing) is out of scope by design.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from cflint.model import Finding, Project, Rule, SourceFile
 # Repo-relative prefixes where std::function is banned. Prefix-scoped (not
 # component-scoped) so a look-alike directory elsewhere (tests/sim fixtures,
 # examples) never trips the rule.
-HOT_PATH_PREFIXES: Tuple[str, ...] = ("src/sim/", "src/core/", "src/stream/")
+HOT_PATH_PREFIXES: Tuple[str, ...] = (
+    "src/sim/",
+    "src/core/",
+    "src/stream/",
+    "src/cache/",
+    "src/shard/",
+)
 
 _PATTERN = re.compile(r"\bstd\s*::\s*function\b")
 
@@ -33,7 +41,8 @@ class StdFunctionRule(Rule):
     id = "std-function"
     description = (
         "std::function inside the hot-path subsystems (src/sim, src/core, "
-        "src/stream) heap-allocates for non-tiny captures; use "
+        "src/stream, src/cache, src/shard) heap-allocates for non-tiny "
+        "captures; use "
         "util::small_function with an explicit capacity, or waive with a "
         "justification for a genuinely cold path."
     )
@@ -50,7 +59,7 @@ class StdFunctionRule(Rule):
                     line=lineno,
                     col=m.start() + 1,
                     message=(
-                        "std::function on the packet hot path allocates for "
+                        "std::function on the per-event hot path allocates for "
                         "non-tiny captures; use util::small_function "
                         "(DESIGN.md §14)"
                     ),

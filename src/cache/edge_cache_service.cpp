@@ -1,5 +1,6 @@
 #include "cache/edge_cache_service.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -23,6 +24,14 @@ Kbit nominal_kbit(const stream::VideoSegment& segment) {
   return q.bitrate_kbps * segment.duration_ms / 1000.0;
 }
 
+// The first (NodeId, slot) entry of the sorted index not below `node`.
+template <typename Index>
+auto find_node(Index& index, NodeId node) {
+  return std::lower_bound(
+      index.begin(), index.end(), node,
+      [](const auto& entry, NodeId n) { return entry.first < n; });
+}
+
 }  // namespace
 
 EdgeCacheService::EdgeCacheService(sim::Simulator& sim,
@@ -34,30 +43,53 @@ EdgeCacheService::EdgeCacheService(sim::Simulator& sim,
                "per-slot cache capacity must be >= 0");
 }
 
-void EdgeCacheService::add_supernode(NodeId node, int capacity_slots) {
+CacheSlot EdgeCacheService::reserve_slot(NodeId node) {
   CF_CHECK_MSG(node != kInvalidNode, "cache needs a real supernode id");
+  const auto it = find_node(slots_, node);
+  if (it != slots_.end() && it->first == node) return it->second;
+  const CacheSlot slot{static_cast<std::uint32_t>(caches_.size())};
+  CF_CHECK_MSG(slot != kNoSlot, "too many supernodes for one cache service");
+  caches_.emplace_back();
+  slots_.insert(it, {node, slot});
+  return slot;
+}
+
+CacheSlot EdgeCacheService::add_supernode(NodeId node, int capacity_slots) {
   CF_CHECK_MSG(capacity_slots >= 0, "capacity slots must be >= 0");
-  CF_CHECK_MSG(!caches_.contains(node), "supernode already has a cache");
-  caches_.emplace(node,
-                  SegmentCache(config_.kbit_per_slot * capacity_slots));
+  const CacheSlot slot = reserve_slot(node);
+  std::optional<SegmentCache>& cache = caches_[to_index(slot)];
+  CF_CHECK_MSG(!cache, "supernode already has a cache");
+  cache.emplace(config_.kbit_per_slot * capacity_slots);
+  return slot;
 }
 
 void EdgeCacheService::remove_supernode(NodeId node) {
-  const auto it = caches_.find(node);
-  CF_CHECK_MSG(it != caches_.end(), "removing a supernode with no cache");
-  const std::size_t cancelled = transcoder_.cancel_owner(node);
-  totals_.cancelled_jobs += cancelled;
-  caches_.erase(it);
+  const CacheSlot slot = slot_of(node);
+  CF_CHECK_MSG(live(slot) != nullptr, "removing a supernode with no cache");
+  totals_.cancelled_jobs += transcoder_.cancel_owner(to_index(slot));
+  caches_[to_index(slot)].reset();
   // Churn contract: nothing of the node survives — its cache entries are
   // gone with the SegmentCache, and no job it owned can fire later.
-  CF_CHECK_MSG(!caches_.contains(node) && transcoder_.in_flight(node) == 0,
+  CF_CHECK_MSG(live(slot) == nullptr &&
+                   transcoder_.in_flight(to_index(slot)) == 0,
                "cache state outlived its owning supernode");
 }
 
+CacheSlot EdgeCacheService::slot_of(NodeId node) const {
+  const auto it = find_node(slots_, node);
+  return it != slots_.end() && it->first == node ? it->second : kNoSlot;
+}
+
+bool EdgeCacheService::has_supernode(NodeId node) const {
+  const CacheSlot slot = slot_of(node);
+  return slot != kNoSlot && caches_[to_index(slot)].has_value();
+}
+
 const SegmentCache& EdgeCacheService::node_cache(NodeId node) const {
-  const auto it = caches_.find(node);
-  CF_CHECK_MSG(it != caches_.end(), "no cache registered for this supernode");
-  return it->second;
+  const CacheSlot slot = slot_of(node);
+  CF_CHECK_MSG(slot != kNoSlot && caches_[to_index(slot)].has_value(),
+               "no cache registered for this supernode");
+  return *caches_[to_index(slot)];
 }
 
 std::uint64_t EdgeCacheService::content_index(
@@ -69,18 +101,39 @@ std::uint64_t EdgeCacheService::content_index(
   return index % config_.content_loop_segments;
 }
 
+void EdgeCacheService::admit(SegmentCache& cache, const SegmentKey& key,
+                             Kbit out_kbit) {
+  const std::uint64_t before = cache.evictions();
+  cache.insert(key, out_kbit);
+  totals_.evictions += cache.evictions() - before;
+}
+
+void EdgeCacheService::schedule_admit(CacheSlot node, TimeMs delay_ms,
+                                      SegmentKey key, Kbit out_kbit,
+                                      DeliverFn deliver) {
+  transcoder_.schedule(
+      to_index(node), delay_ms,
+      [this, node, key, out_kbit, deliver = std::move(deliver)] {
+        SegmentCache* cache = live(node);
+        CF_CHECK_MSG(cache != nullptr,
+                     "deferred job completed on a removed supernode");
+        admit(*cache, key, out_kbit);
+        deliver();
+      });
+}
+
 EdgeCacheService::ServeOutcome EdgeCacheService::request(
-    NodeId node, const stream::VideoSegment& segment, DeliverFn deliver) {
+    CacheSlot node, const stream::VideoSegment& segment, DeliverFn deliver) {
   CF_CHECK_MSG(static_cast<bool>(deliver), "request needs a delivery");
-  const auto it = caches_.find(node);
-  CF_CHECK_MSG(it != caches_.end(), "request on a supernode with no cache");
-  SegmentCache& cache = it->second;
+  SegmentCache* cache_ptr = live(node);
+  CF_CHECK_MSG(cache_ptr != nullptr, "request on a supernode with no cache");
+  SegmentCache& cache = *cache_ptr;
 
-  const std::uint64_t index = content_index(segment);
-  const SegmentKey key{segment.game, index, segment.quality_level};
+  const SegmentKey key = key_of(segment);
+  const std::uint64_t index = key.content_index;
   const Kbit out_kbit = nominal_kbit(segment);
-
-  const bool cached_exact = cache.contains(key);
+  // An exact variant always wins (a hit), so finding it refreshes it too.
+  const bool cached_exact = cache.touch(key);
   const int ancestor =
       cached_exact ? 0
                    : cache.best_ancestor_level(segment.game, index,
@@ -95,7 +148,7 @@ EdgeCacheService::ServeOutcome EdgeCacheService::request(
 
   switch (decision.source) {
     case ServeSource::kCacheHit: {
-      CF_CHECK_MSG(cache.touch(key), "hit decided on an uncached key");
+      CF_CHECK_MSG(cached_exact, "hit decided on an uncached key");
       totals_.hits += 1;
       totals_.bytes_edge_kbit += out_kbit;
       CF_OBS_COUNT_HOT("cache.hits", 1);
@@ -120,23 +173,14 @@ EdgeCacheService::ServeOutcome EdgeCacheService::request(
       CF_OBS_COUNT_HOT("cache.transcodes", 1);
       CF_OBS_COUNT_HOT("cache.bytes_edge",
                        static_cast<std::uint64_t>(out_kbit * kBytesPerKbit));
-      transcoder_.schedule(
-          node, decision.delay_ms,
-          [this, node, key, out_kbit, deliver = std::move(deliver)] {
-            auto cache_it = caches_.find(node);
-            CF_CHECK_MSG(cache_it != caches_.end(),
-                         "transcode completed on a removed supernode");
-            const std::uint64_t before = cache_it->second.evictions();
-            cache_it->second.insert(key, out_kbit);
-            totals_.evictions += cache_it->second.evictions() - before;
-            deliver();
-          });
+      schedule_admit(node, decision.delay_ms, key, out_kbit,
+                     std::move(deliver));
       break;
     }
     case ServeSource::kCloudFetch: {
       // Cooperative path: a peer supernode may hold the variant. The
-      // interceptor is handed a *copy* of the delivery so a false return
-      // leaves the plain fetch below fully intact.
+      // interceptor moves the delivery out only when it takes over, so a
+      // false return leaves the plain fetch below fully intact.
       if (interceptor_ && interceptor_(node, segment, out_kbit, deliver)) {
         outcome.source = ServeSource::kPeerProbe;
         outcome.delay_ms = 0.0;  // unknown until the protocol resolves
@@ -151,17 +195,8 @@ EdgeCacheService::ServeOutcome EdgeCacheService::request(
       CF_OBS_COUNT_HOT("cache.misses", 1);
       CF_OBS_COUNT_HOT("cache.bytes_cloud",
                        static_cast<std::uint64_t>(out_kbit * kBytesPerKbit));
-      transcoder_.schedule(
-          node, decision.delay_ms,
-          [this, node, key, out_kbit, deliver = std::move(deliver)] {
-            auto cache_it = caches_.find(node);
-            CF_CHECK_MSG(cache_it != caches_.end(),
-                         "fetch completed on a removed supernode");
-            const std::uint64_t before = cache_it->second.evictions();
-            cache_it->second.insert(key, out_kbit);
-            totals_.evictions += cache_it->second.evictions() - before;
-            deliver();
-          });
+      schedule_admit(node, decision.delay_ms, key, out_kbit,
+                     std::move(deliver));
       break;
     }
     case ServeSource::kPeerProbe:
@@ -173,34 +208,27 @@ EdgeCacheService::ServeOutcome EdgeCacheService::request(
   return outcome;
 }
 
-bool EdgeCacheService::probe_hit(NodeId node,
-                                 const stream::VideoSegment& segment) {
-  const auto it = caches_.find(node);
-  if (it == caches_.end()) return false;  // probe raced churn: peer is gone
-  const SegmentKey key{segment.game, content_index(segment),
-                       segment.quality_level};
-  const bool hit = it->second.touch(key);
+bool EdgeCacheService::probe_hit(CacheSlot node, const SegmentKey& key) {
+  SegmentCache* cache = live(node);
+  if (cache == nullptr) return false;  // probe raced churn: peer is gone
+  const bool hit = cache->touch(key);
   CF_OBS_COUNT_HOT("cache.coop_probe_hits", hit ? 1 : 0);
   return hit;
 }
 
-void EdgeCacheService::complete_peer_fetch(NodeId node,
+void EdgeCacheService::complete_peer_fetch(CacheSlot node,
                                            const stream::VideoSegment& segment,
                                            DeliverFn deliver) {
   CF_CHECK_MSG(static_cast<bool>(deliver), "peer fetch needs a delivery");
-  const auto it = caches_.find(node);
-  if (it == caches_.end()) return;  // requester left while probes flew
-  const SegmentKey key{segment.game, content_index(segment),
-                       segment.quality_level};
+  SegmentCache* cache = live(node);
+  if (cache == nullptr) return;  // requester left while probes flew
   const Kbit out_kbit = nominal_kbit(segment);
   totals_.coop_hits += 1;
   totals_.bytes_peer_kbit += out_kbit;
   CF_OBS_COUNT_HOT("cache.coop_hits", 1);
   CF_OBS_COUNT_HOT("cache.bytes_peer",
                    static_cast<std::uint64_t>(out_kbit * kBytesPerKbit));
-  const std::uint64_t before = it->second.evictions();
-  it->second.insert(key, out_kbit);
-  totals_.evictions += it->second.evictions() - before;
+  admit(*cache, key_of(segment), out_kbit);
   ServeOutcome outcome;
   outcome.source = ServeSource::kPeerHit;
   outcome.content_kbit = out_kbit;
@@ -208,13 +236,11 @@ void EdgeCacheService::complete_peer_fetch(NodeId node,
   deliver();
 }
 
-void EdgeCacheService::cloud_fetch_fallback(NodeId node,
+void EdgeCacheService::cloud_fetch_fallback(CacheSlot node,
                                             const stream::VideoSegment& segment,
                                             DeliverFn deliver) {
   CF_CHECK_MSG(static_cast<bool>(deliver), "fallback fetch needs a delivery");
-  if (!caches_.contains(node)) return;  // requester left while probes flew
-  const SegmentKey key{segment.game, content_index(segment),
-                       segment.quality_level};
+  if (live(node) == nullptr) return;  // requester left while probes flew
   const Kbit out_kbit = nominal_kbit(segment);
   const TimeMs delay = policy_.fetch_delay_ms(out_kbit);
   // The miss was already counted when the probe round started; only the
@@ -222,17 +248,7 @@ void EdgeCacheService::cloud_fetch_fallback(NodeId node,
   totals_.bytes_cloud_kbit += out_kbit;
   CF_OBS_COUNT_HOT("cache.bytes_cloud",
                    static_cast<std::uint64_t>(out_kbit * kBytesPerKbit));
-  transcoder_.schedule(
-      node, delay,
-      [this, node, key, out_kbit, deliver = std::move(deliver)] {
-        auto cache_it = caches_.find(node);
-        CF_CHECK_MSG(cache_it != caches_.end(),
-                     "fetch completed on a removed supernode");
-        const std::uint64_t before = cache_it->second.evictions();
-        cache_it->second.insert(key, out_kbit);
-        totals_.evictions += cache_it->second.evictions() - before;
-        deliver();
-      });
+  schedule_admit(node, delay, key_of(segment), out_kbit, std::move(deliver));
   ServeOutcome outcome;
   outcome.source = ServeSource::kCloudFetch;
   outcome.delay_ms = delay;

@@ -12,14 +12,14 @@
 // encoded segment content of a (game, ladder level) at a content index.
 // Capacity is byte-accounted (kbit, matching the rest of the codebase) and
 // eviction is strict LRU over an intrusive doubly-linked list threaded
-// through a slab — no steady-state allocations once the slab has grown to
-// the working set, and a deterministic eviction order that tests pin
-// against a naive reference implementation.
+// through a slab, found through a flat open-addressing index of slab slots —
+// no steady-state allocations once the slab and the index have grown to the
+// working set, and a deterministic eviction order that tests pin against a
+// naive reference implementation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "game/game.h"
@@ -60,7 +60,7 @@ struct SegmentKeyHash {
 /// All operations are O(1) expected (hash lookup + intrusive list splice)
 /// and deterministic: the eviction victim is always the least recently
 /// used entry, ties cannot occur (the list is a total order), and the
-/// unordered index is only ever accessed by key, never iterated.
+/// hashed index is only ever accessed by key, never iterated.
 class SegmentCache {
  public:
   /// A zero-capacity cache is legal and degenerates to "nothing is ever
@@ -95,7 +95,7 @@ class SegmentCache {
 
   Kbit capacity_kbit() const { return capacity_kbit_; }
   Kbit used_kbit() const { return used_kbit_; }
-  std::size_t entry_count() const { return index_.size(); }
+  std::size_t entry_count() const { return entries_; }
   std::uint64_t evictions() const { return evictions_; }
 
   /// Keys from most to least recently used — test/diagnostic inspection
@@ -116,6 +116,23 @@ class SegmentCache {
   void link_front(std::uint32_t slot);
   void evict_lru();
 
+  /// The index position holding `key`, or kNoPos.
+  std::size_t find_pos(const SegmentKey& key) const;
+  /// The slab slot holding `key`, or kNil.
+  std::uint32_t find(const SegmentKey& key) const {
+    const std::size_t pos = find_pos(key);
+    return pos == kNoPos ? kNil : index_[pos];
+  }
+  /// Indexes slab slot `slot` (its key must not be indexed yet).
+  void index_insert(std::uint32_t slot);
+  /// Unindexes the slot at `pos`, shifting its probe run back over it.
+  void index_erase(std::size_t pos);
+  std::size_t home(std::uint32_t slot) const {
+    return SegmentKeyHash{}(slab_[slot].key) & (index_.size() - 1);
+  }
+
+  static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
+
   Kbit capacity_kbit_;
   Kbit used_kbit_ = 0.0;
   std::uint64_t evictions_ = 0;
@@ -123,7 +140,11 @@ class SegmentCache {
   std::uint32_t tail_ = kNil;  // least recently used
   std::vector<Entry> slab_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<SegmentKey, std::uint32_t, SegmentKeyHash> index_;
+  // Open addressing over slab slots (kNil = empty): a power-of-two table,
+  // linear probing, kept at most half full, deletion by backward shift (no
+  // tombstones). It grows but never shrinks.
+  std::vector<std::uint32_t> index_;
+  std::size_t entries_ = 0;
 };
 
 }  // namespace cloudfog::cache

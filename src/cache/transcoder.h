@@ -12,14 +12,20 @@
 // a supernode leaving the system cancels every in-flight job it owns via
 // the engine's O(1) generation-tagged cancel. Nothing a departed node
 // started may fire afterwards — the churn contract tests pin this.
+//
+// Owners are dense indexes (the cache service passes its supernode slots).
+// A job lives in a slab record threaded onto its owner's intrusive list,
+// and the engine event captures only (this, job slot), so once the slab
+// and the owner table have grown, scheduling, completing and cancelling a
+// job allocate nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.h"
+#include "util/small_function.h"
 #include "util/types.h"
 
 namespace cloudfog::cache {
@@ -39,22 +45,28 @@ struct TranscodeModel {
 /// engine with per-owner cancellation.
 class Transcoder {
  public:
-  using Callback = std::function<void()>;
+  /// Inline capture budget of a job: the service's deferred delivery (its
+  /// DeliverFn plus the slot, key and size it admits) must fit.
+  static constexpr std::size_t kJobCapacity = 160;
+  using Callback = util::small_function<void(), kJobCapacity>;
 
   Transcoder(sim::Simulator& sim, TranscodeModel model);
+  // Scheduled job events hold `this`.
+  Transcoder(const Transcoder&) = delete;
+  Transcoder& operator=(const Transcoder&) = delete;
 
   const TranscodeModel& model() const { return model_; }
 
-  /// Runs `done` after `delay_ms` of sim time on behalf of `owner`.
-  /// Returns the engine handle (also tracked internally for cancel_owner).
-  sim::EventId schedule(NodeId owner, TimeMs delay_ms, Callback done);
+  /// Runs `done` after `delay_ms` of sim time on behalf of `owner`, a dense
+  /// index. Returns the engine handle.
+  sim::EventId schedule(std::uint32_t owner, TimeMs delay_ms, Callback done);
 
   /// Cancels every in-flight job of `owner` through the slab engine's O(1)
-  /// cancel; returns how many were still pending.
-  std::size_t cancel_owner(NodeId owner);
+  /// cancel, in scheduling order; returns how many were still pending.
+  std::size_t cancel_owner(std::uint32_t owner);
 
   /// Jobs of `owner` still pending.
-  std::size_t in_flight(NodeId owner) const;
+  std::size_t in_flight(std::uint32_t owner) const;
   /// Jobs pending across all owners.
   std::size_t in_flight_total() const { return in_flight_total_; }
   std::uint64_t jobs_started() const { return jobs_started_; }
@@ -62,14 +74,29 @@ class Transcoder {
   std::uint64_t jobs_cancelled() const { return jobs_cancelled_; }
 
  private:
-  void forget(NodeId owner, sim::EventId id);
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  struct Job {
+    Callback done;
+    sim::EventId event = sim::kInvalidEvent;
+    std::uint32_t owner = kNil;
+    std::uint32_t prev = kNil;  // toward the owner's oldest job
+    std::uint32_t next = kNil;
+  };
+  struct OwnerJobs {
+    std::uint32_t head = kNil;  // oldest
+    std::uint32_t tail = kNil;
+    std::uint32_t count = 0;
+  };
+
+  void fire(std::uint32_t job);
+  void unlink(std::uint32_t job);
 
   sim::Simulator& sim_;
   TranscodeModel model_;
-  // Owner -> pending engine handles, insertion-ordered. Only ever accessed
-  // by key (never iterated), so the unordered map cannot leak bucket order
-  // into results.
-  std::unordered_map<NodeId, std::vector<sim::EventId>> pending_;
+  std::vector<Job> jobs_;
+  std::vector<std::uint32_t> free_jobs_;
+  std::vector<OwnerJobs> owners_;  // by owner index, grown on demand
   std::size_t in_flight_total_ = 0;
   std::uint64_t jobs_started_ = 0;
   std::uint64_t jobs_completed_ = 0;

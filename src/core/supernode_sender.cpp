@@ -36,7 +36,7 @@ void SupernodeSender::submit(const stream::VideoSegment& segment) {
     // Source the content first; the segment joins the uplink queue when it
     // exists locally (immediately on a hit, after the modelled delay for a
     // transcode or cloud fetch).
-    cache_service_->request(cache_self_, segment,
+    cache_service_->request(cache_slot_, segment,
                             [this, segment] { enqueue_ready(segment); });
     return;
   }
@@ -51,7 +51,7 @@ void SupernodeSender::attach_segment_cache(cache::EdgeCacheService* service,
   CF_CHECK_MSG(packets_submitted_ == 0,
                "attach the cache before the first submit");
   cache_service_ = service;
-  cache_self_ = self;
+  cache_slot_ = service->slot_of(self);
 }
 
 void SupernodeSender::enqueue_ready(const stream::VideoSegment& segment) {

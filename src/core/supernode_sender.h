@@ -53,6 +53,7 @@
 
 namespace cloudfog::cache {
 class EdgeCacheService;
+enum class CacheSlot : std::uint32_t;
 }
 
 namespace cloudfog::core {
@@ -217,7 +218,7 @@ class SupernodeSender {
   InputHorizonFn input_horizon_;
   DeliveryFn on_delivery_;
   cache::EdgeCacheService* cache_service_ = nullptr;  // optional, not owned
-  NodeId cache_self_ = kInvalidNode;  // this supernode's id in the service
+  cache::CacheSlot cache_slot_{};  // this supernode's slot in the service
   util::Rng rng_;
   bool transmitting_ = false;
   std::size_t burst_limit_ = std::numeric_limits<std::size_t>::max();

@@ -23,8 +23,7 @@ BarrierPool::~BarrierPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void BarrierPool::run_round(std::size_t count,
-                            const std::function<void(std::size_t)>& task) {
+void BarrierPool::run_borrowed(std::size_t count, TaskRef task) {
   if (count == 0) return;
   if (threads_.empty() || count == 1) {
     for (std::size_t i = 0; i < count; ++i) task(i);
@@ -32,8 +31,8 @@ void BarrierPool::run_round(std::size_t count,
   }
   {
     std::lock_guard<std::mutex> lock(m_);
-    CF_CHECK_MSG(task_ == nullptr, "run_round must not be re-entered");
-    task_ = &task;
+    CF_CHECK_MSG(task_.target == nullptr, "run_round must not be re-entered");
+    task_ = task;
     count_ = count;
     completed_ = 0;
     first_error_index_ = std::numeric_limits<std::size_t>::max();
@@ -49,7 +48,7 @@ void BarrierPool::run_round(std::size_t count,
   {
     std::unique_lock<std::mutex> lock(m_);
     cv_done_.wait(lock, [this] { return completed_ == count_; });
-    task_ = nullptr;
+    task_ = TaskRef{};
     error = error_;
   }
   if (error) std::rethrow_exception(error);
@@ -61,7 +60,7 @@ void BarrierPool::work() {
     if (i >= count_) return;
     std::exception_ptr caught;
     try {
-      (*task_)(i);
+      task_(i);
     } catch (...) {
       caught = std::current_exception();
     }

@@ -25,9 +25,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace cloudfog::shard {
@@ -44,10 +45,27 @@ class BarrierPool {
   std::size_t workers() const { return threads_.size() + 1; }
 
   /// Runs task(0) .. task(count - 1) across the pool and returns when all
-  /// have finished. Tasks must not call run_round re-entrantly.
-  void run_round(std::size_t count, const std::function<void(std::size_t)>& task);
+  /// have finished. Tasks must not call run_round re-entrantly. The pool
+  /// only borrows `task` for the round, so any callable goes in unwrapped.
+  template <typename Task>
+  void run_round(std::size_t count, Task&& task) {
+    using T = std::remove_reference_t<Task>;
+    void* target =
+        const_cast<void*>(static_cast<const void*>(std::addressof(task)));
+    run_borrowed(count, TaskRef{target, [](void* t, std::size_t i) {
+                                  (*static_cast<T*>(t))(i);
+                                }});
+  }
 
  private:
+  /// A borrowed round task: the callable and how to invoke it.
+  struct TaskRef {
+    void* target = nullptr;
+    void (*invoke)(void*, std::size_t) = nullptr;
+    void operator()(std::size_t i) const { invoke(target, i); }
+  };
+
+  void run_borrowed(std::size_t count, TaskRef task);
   void worker_loop();
   /// Claims and runs tasks until the cursor passes count_.
   void work();
@@ -55,7 +73,7 @@ class BarrierPool {
   std::mutex m_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  const std::function<void(std::size_t)>* task_ = nullptr;
+  TaskRef task_;  // the round's task; target is null between rounds
   // Atomic: a worker draining the tail of the previous round reads it
   // lock-free while the next round's setup rewrites it under the lock.
   std::atomic<std::size_t> count_{0};

@@ -30,7 +30,7 @@ ShardCluster::ShardCluster(std::size_t shard_count, std::size_t workers)
 }
 
 void ShardCluster::post(std::size_t src, std::size_t dst, TimeMs when,
-                        std::function<void()> fn) {
+                        sim::Simulator::Callback fn) {
   inbox_.post(src, dst, when, std::move(fn));
 }
 

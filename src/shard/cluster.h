@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,7 +60,7 @@ class ShardCluster {
   /// Posts a cross-shard event (see InboxExchange::post for the producer
   /// contract). `when` is the absolute arrival time on `dst`.
   void post(std::size_t src, std::size_t dst, TimeMs when,
-            std::function<void()> fn);
+            sim::Simulator::Callback fn);
 
   /// Advances every shard to `horizon` in windows of `lookahead` ms
   /// (infinity = one window). Single-shot: one run per cluster. Messages

@@ -13,15 +13,20 @@
 // destination shard schedules the messages in exactly that order, so the
 // receiving engine's tie-break (its own scheduling sequence) reproduces
 // the same total order on every run and any worker count.
+//
+// A message is the destination engine's own callback type, so it moves into
+// that engine as is, and neither posting nor draining allocates once the
+// lanes and the drain buffer have grown to a window's traffic.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "sim/simulator.h"
 #include "util/check.h"
 #include "util/types.h"
 
@@ -32,7 +37,7 @@ struct InboxMessage {
   TimeMs when = 0.0;
   std::size_t src = 0;     // source shard
   std::uint64_t seq = 0;   // per-(src, dst) monotone posting order
-  std::function<void()> fn;
+  sim::Simulator::Callback fn;
 };
 
 class InboxExchange {
@@ -47,7 +52,7 @@ class InboxExchange {
   /// Posts a message from `src` to `dst`. Only `src`'s worker may call
   /// this, and only while a round is executing (single producer per lane).
   void post(std::size_t src, std::size_t dst, TimeMs when,
-            std::function<void()> fn) {
+            sim::Simulator::Callback fn) {
     CF_CHECK_MSG(src < shards_ && dst < shards_, "shard index out of range");
     CF_CHECK_MSG(src != dst, "same-shard events go straight to the engine");
     Lane& lane = lanes_[src * shards_ + dst];
@@ -55,23 +60,24 @@ class InboxExchange {
         InboxMessage{when, src, lane.next_seq++, std::move(fn)});
   }
 
-  /// Removes and returns everything addressed to `dst`, sorted by the
+  /// Removes everything addressed to `dst` and returns it, sorted by the
   /// canonical (when, src, seq) order. Coordinator-only, between rounds.
-  std::vector<InboxMessage> drain(std::size_t dst) {
+  /// The messages live in a reused buffer, valid until the next drain.
+  std::span<InboxMessage> drain(std::size_t dst) {
     CF_CHECK_MSG(dst < shards_, "shard index out of range");
-    std::vector<InboxMessage> out;
+    drained_.clear();
     for (std::size_t src = 0; src < shards_; ++src) {
       Lane& lane = lanes_[src * shards_ + dst];
-      for (InboxMessage& m : lane.messages) out.push_back(std::move(m));
+      for (InboxMessage& m : lane.messages) drained_.push_back(std::move(m));
       lane.messages.clear();
     }
-    std::sort(out.begin(), out.end(),
+    std::sort(drained_.begin(), drained_.end(),
               [](const InboxMessage& a, const InboxMessage& b) {
                 if (a.when != b.when) return a.when < b.when;
                 if (a.src != b.src) return a.src < b.src;
                 return a.seq < b.seq;
               });
-    return out;
+    return drained_;
   }
 
  private:
@@ -82,6 +88,7 @@ class InboxExchange {
 
   std::size_t shards_;
   std::vector<Lane> lanes_;  // indexed src * shards_ + dst
+  std::vector<InboxMessage> drained_;
 };
 
 }  // namespace cloudfog::shard

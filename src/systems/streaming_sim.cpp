@@ -13,9 +13,14 @@
 // Sharding invariants:
 //   * A supernode and every player it serves live on the same shard, so
 //     the only cross-shard traffic is the cooperative cache protocol
-//     (probe + response between supernode pairs). With cooperation off
+//     (probe + response between supernode pairs; systems/coop_probes.h,
+//     whose ProbeRound pool is shard-local: a probe carries the content
+//     key, so no shard reads another shard's round). With cooperation off
 //     there are no cross-shard edges at all, the lookahead is infinite and
 //     the run is embarrassingly parallel (a single window).
+//   * Each supernode has a dense slot among its shard's supernodes, in
+//     NodeId order: its cache, byte ledger and probe rank order are
+//     vectors by that slot, so the serve path hashes nothing.
 //   * Every stochastic entity draws from its own RNG stream (player:
 //     jitter/p<pop>, packet sender: jitter/sn<node>), so its sample
 //     sequence is a function of its own event order only — the reason the
@@ -108,6 +113,7 @@
 #include "stream/receiver_buffer.h"
 #include "stream/stream_store.h"
 #include "stream/video.h"
+#include "systems/coop_probes.h"
 #include "systems/pending_arrivals.h"
 #include "systems/segment_ledger.h"
 #include "util/check.h"
@@ -121,6 +127,15 @@ namespace {
 inline constexpr std::uint32_t kNoIndex =
     std::numeric_limits<std::uint32_t>::max();
 
+/// What the run reads of a player's PlayerAssignment, and the cache slot of
+/// its supernode (supernode players, with a segment cache only).
+struct AssignedServer {
+  NodeId server = kInvalidNode;
+  ServerType type = ServerType::kDatacenter;
+  NodeId home_dc = kInvalidNode;
+  cache::CacheSlot cache_slot = cache::kNoSlot;
+};
+
 /// One streaming player. Kept lean — a run holds one per active player:
 /// the game profile is a pointer into the static catalog, and the rate
 /// adaptation state lives in StreamingEngine::adaptation_ (adaptive kinds
@@ -131,7 +146,7 @@ struct ShardPlayer {
   NodeId host = kInvalidNode;
   int level = 0;
   const game::GameProfile* profile = nullptr;
-  PlayerAssignment assignment;
+  AssignedServer assignment;
   Kbps wan_cap_kbps = 0.0;
   double loss_prob = 0.0;
   stream::StoreHandle buffer = stream::kNullHandle;
@@ -277,7 +292,8 @@ struct Shard {
   // Open packet-level segments, keyed by VideoSegment::delivery_tag; slots
   // are global player slots.
   SegmentLedger segments;
-  std::map<NodeId, NodeLedger> ledger;  // NodeId order: canonical reduce
+  // By supernode slot; assemble() reduces them in NodeId order.
+  std::vector<NodeLedger> ledger;
 };
 
 struct SupernodeInfo {
@@ -285,33 +301,15 @@ struct SupernodeInfo {
   int slots = 0;
   Kbps uplink_kbps = 0.0;
   std::size_t shard = 0;
+  /// Dense index among its shard's supernodes, in NodeId order: the slot of
+  /// its cache, ledger and probe rank order.
+  cache::CacheSlot slot = cache::kNoSlot;
   /// The node's packet sender in its shard's packet_store (scheduling
   /// kinds only).
   stream::StoreHandle sender = stream::kNullHandle;
   std::vector<std::size_t> player_slots;  // global slots, ascending
   bool initially_absent = false;
   std::vector<SupernodeChurnEvent> churn;  // sorted, alternation-checked
-};
-
-/// One entry of a supernode's cooperative-probe rank order: the m nearest
-/// other supernodes by (expected one-way latency, NodeId).
-struct CoopNeighbor {
-  NodeId id = kInvalidNode;
-  std::size_t shard = 0;
-  TimeMs latency_ms = 0.0;
-};
-
-/// One in-flight cooperative lookup. Written by the requester's shard;
-/// peers only read `segment` (published before the probes are posted, so
-/// the window barrier orders the accesses).
-struct ProbeRound {
-  enum class Resp : std::uint8_t { kPending, kHit, kMiss };
-  std::size_t shard = 0;  // requester's shard
-  NodeId requester = kInvalidNode;
-  stream::VideoSegment segment;
-  cache::EdgeCacheService::DeliverFn deliver;
-  std::vector<Resp> responses;  // by neighbor rank
-  bool resolved = false;
 };
 
 class StreamingEngine {
@@ -375,16 +373,6 @@ class StreamingEngine {
       return players_[slot].report_qoe();
     };
   }
-  void start_probe_round(std::size_t s, NodeId node,
-                         const stream::VideoSegment& seg, Kbit kbit,
-                         cache::EdgeCacheService::DeliverFn deliver);
-  void on_probe_response(const std::shared_ptr<ProbeRound>& round,
-                         std::size_t rank, bool hit);
-  /// Same-shard "messages" stay plain engine events (the exchange rejects
-  /// src == dst); cross-shard ones go through the inbox.
-  void post_or_local(std::size_t src, std::size_t dst, TimeMs when,
-                     std::function<void()> fn);
-
   TimeMs window_end() const {
     return options_.warmup_ms + options_.duration_ms;
   }
@@ -427,7 +415,7 @@ class StreamingEngine {
   std::vector<std::uint32_t> packet_slot_;
   std::vector<PlayerAdaptation> adaptation_;  // by slot; adaptive kinds only
   std::map<NodeId, SupernodeInfo> sn_infos_;  // NodeId order everywhere
-  std::map<NodeId, std::vector<CoopNeighbor>> coop_;
+  std::optional<CoopProbes> coop_;  // cooperative lookups, when enabled
   std::vector<shard::PartitionSite> sites_;  // parallel to sn_infos_ order
   shard::Partition partition_;
   TimeMs lookahead_ = std::numeric_limits<double>::infinity();
@@ -470,7 +458,7 @@ std::vector<std::size_t> StreamingEngine::setup_players() {
     ShardPlayer ps;
     ps.host = scenario_.player_host(pa.pop_index);
     ps.profile = &game::game_by_id(scenario_.player_game(pa.pop_index));
-    ps.assignment = pa;
+    ps.assignment = {pa.server, pa.type, pa.home_dc};
     ps.level = ps.profile->target_quality_level;
     std::string stream_name = "p";
     stream_name += std::to_string(pa.pop_index);
@@ -559,9 +547,14 @@ void StreamingEngine::setup_partition() {
 
 void StreamingEngine::setup_coop() {
   const ScenarioParams& params = scenario_.params();
+  // Each supernode's m nearest others by (expected one-way latency, NodeId),
+  // in sn_infos_ order.
+  std::vector<std::vector<std::pair<TimeMs, NodeId>>> nearest;
   if (params.use_segment_cache && params.cache_coop_neighbors > 0) {
+    nearest.reserve(sn_infos_.size());
+    std::vector<std::pair<TimeMs, NodeId>> ranked;
     for (const auto& [a, info_a] : sn_infos_) {
-      std::vector<std::pair<TimeMs, NodeId>> ranked;
+      ranked.clear();
       ranked.reserve(sn_infos_.size() - 1);
       for (const auto& [b, info_b] : sn_infos_) {
         if (b == a) continue;
@@ -575,12 +568,7 @@ void StreamingEngine::setup_coop() {
       const auto mth = ranked.begin() + static_cast<std::ptrdiff_t>(m);
       std::nth_element(ranked.begin(), mth, ranked.end());
       std::sort(ranked.begin(), mth);
-      std::vector<CoopNeighbor>& list = coop_[a];
-      list.reserve(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        list.push_back({ranked[i].second, sn_infos_.at(ranked[i].second).shard,
-                        ranked[i].first});
-      }
+      nearest.emplace_back(ranked.begin(), mth);
     }
   }
 
@@ -590,10 +578,13 @@ void StreamingEngine::setup_coop() {
   // the lookahead is infinite (a single window). Derived from the actual
   // edge set, not net::LatencyModel::min_route_ms() — the pair bias is
   // multiplicative and may undercut that closed-form floor.
-  for (const auto& [a, list] : coop_) {
-    const std::size_t sa = sn_infos_.at(a).shard;
-    for (const CoopNeighbor& nb : list) {
-      if (nb.shard != sa) lookahead_ = std::min(lookahead_, nb.latency_ms);
+  if (!nearest.empty()) {
+    auto near = nearest.begin();
+    for (const auto& [a, info] : sn_infos_) {
+      for (const auto& [latency, b] : *near++) {
+        if (sn_infos_.at(b).shard != info.shard)
+          lookahead_ = std::min(lookahead_, latency);
+      }
     }
   }
   shard_count_ =
@@ -604,9 +595,25 @@ void StreamingEngine::setup_coop() {
     // (expected one-way latencies are strictly positive) but kept sound.
     for (ShardPlayer& ps : players_) ps.shard = 0;
     for (auto& [server, info] : sn_infos_) info.shard = 0;
-    for (auto& [a, list] : coop_)
-      for (CoopNeighbor& nb : list) nb.shard = 0;
     lookahead_ = std::numeric_limits<double>::infinity();
+  }
+
+  // Dense supernode slots: per shard, in NodeId order.
+  std::vector<std::uint32_t> next_slot(shard_count_, 0);
+  for (auto& [server, info] : sn_infos_)
+    info.slot = cache::CacheSlot{next_slot[info.shard]++};
+
+  if (nearest.empty()) return;
+  coop_.emplace(shard_count_, params.cache_coop_kbps);
+  auto near = nearest.begin();
+  for (const auto& [a, info] : sn_infos_) {
+    std::vector<CoopNeighbor> list;
+    list.reserve(near->size());
+    for (const auto& [latency, b] : *near++) {
+      const SupernodeInfo& nb = sn_infos_.at(b);
+      list.push_back({nb.slot, static_cast<std::uint32_t>(nb.shard), latency});
+    }
+    coop_->set_neighbors(info.shard, info.slot, std::move(list));
   }
 }
 
@@ -634,9 +641,9 @@ void StreamingEngine::setup_cache_services() {
     Shard& sh = *shards_[s];
     sh.cache.emplace(*sh.sim, cfg);
     sh.cache->set_serve_observer(
-        [this, s](NodeId node, const stream::VideoSegment& seg,
+        [this, s](cache::CacheSlot node, const stream::VideoSegment& seg,
                   const cache::EdgeCacheService::ServeOutcome& outcome) {
-          NodeLedger& led = shards_[s]->ledger[node];
+          NodeLedger& led = shards_[s]->ledger[cache::to_index(node)];
           switch (outcome.source) {
             case cache::ServeSource::kCacheHit:
             case cache::ServeSource::kTranscode:
@@ -654,20 +661,16 @@ void StreamingEngine::setup_cache_services() {
               break;  // bytes accounted at resolution (peer hit or fallback)
           }
         });
-    if (!coop_.empty()) {
-      sh.cache->set_fetch_interceptor(
-          [this, s](NodeId node, const stream::VideoSegment& seg, Kbit kbit,
-                    cache::EdgeCacheService::DeliverFn deliver) {
-            const auto it = coop_.find(node);
-            if (it == coop_.end() || it->second.empty()) return false;
-            start_probe_round(s, node, seg, kbit, std::move(deliver));
-            return true;
-          });
-    }
+    if (coop_) coop_->attach(*cluster_, s, *sh.cache);
   }
   for (const auto& [server, info] : sn_infos_) {
-    if (info.initially_absent) continue;
-    shards_[info.shard]->cache->add_supernode(server, info.slots);
+    Shard& sh = *shards_[info.shard];
+    CF_CHECK_MSG(sh.cache->reserve_slot(server) == info.slot,
+                 "cache slots out of step with the supernode slots");
+    sh.ledger.emplace_back();
+    if (!info.initially_absent) sh.cache->add_supernode(server, info.slots);
+    for (std::size_t slot : info.player_slots)
+      players_[slot].assignment.cache_slot = info.slot;
   }
 }
 
@@ -937,7 +940,7 @@ void StreamingEngine::enqueue_segment(std::size_t slot, TimeMs t0) {
     // own. A hit delivers inline and ends this completion's action; any
     // other source delivers later, one more action in flight.
     const auto served = sh.cache->request(
-        ps.assignment.server, seg, [this, slot, seg] {
+        ps.assignment.cache_slot, seg, [this, slot, seg] {
           submit_fluid(slot, seg);
           end_action(slot);
         });
@@ -1110,74 +1113,14 @@ void StreamingEngine::fail_over_segment(
                           last_arrival, on_time_units, qoe_of());
 }
 
-void StreamingEngine::start_probe_round(
-    std::size_t s, NodeId node, const stream::VideoSegment& seg, Kbit kbit,
-    cache::EdgeCacheService::DeliverFn deliver) {
-  const std::vector<CoopNeighbor>& neighbors = coop_.at(node);
-  auto round = std::make_shared<ProbeRound>();
-  round->shard = s;
-  round->requester = node;
-  round->segment = seg;
-  round->deliver = std::move(deliver);
-  round->responses.assign(neighbors.size(), ProbeRound::Resp::kPending);
-  const TimeMs t0 = shards_[s]->sim->now();
-  const Kbps coop_kbps = scenario_.params().cache_coop_kbps;
-  for (std::size_t rank = 0; rank < neighbors.size(); ++rank) {
-    const CoopNeighbor nb = neighbors[rank];
-    post_or_local(s, nb.shard, t0 + nb.latency_ms,
-                  [this, round, rank, nb, kbit, coop_kbps] {
-                    Shard& peer = *shards_[nb.shard];
-                    const bool hit =
-                        peer.cache && peer.cache->probe_hit(nb.id, round->segment);
-                    TimeMs back = peer.sim->now() + nb.latency_ms;
-                    if (hit && coop_kbps > 0.0)
-                      back += transmission_ms(kbit, coop_kbps);
-                    post_or_local(nb.shard, round->shard, back,
-                                  [this, round, rank, hit] {
-                                    on_probe_response(round, rank, hit);
-                                  });
-                  });
-  }
-}
-
-void StreamingEngine::on_probe_response(
-    const std::shared_ptr<ProbeRound>& round, std::size_t rank, bool hit) {
-  round->responses[rank] = hit ? ProbeRound::Resp::kHit : ProbeRound::Resp::kMiss;
-  if (round->resolved) return;
-  Shard& sh = *shards_[round->shard];
-  // Rank-canonical resolution: the winner is the lowest-rank peer that
-  // hit, declared only once every lower rank has answered — K-invariant
-  // because it depends on the rank order, never on response arrival order.
-  for (const ProbeRound::Resp resp : round->responses) {
-    if (resp == ProbeRound::Resp::kPending) return;
-    if (resp == ProbeRound::Resp::kHit) {
-      round->resolved = true;
-      sh.cache->complete_peer_fetch(round->requester, round->segment,
-                                    std::move(round->deliver));
-      return;
-    }
-  }
-  round->resolved = true;
-  sh.cache->cloud_fetch_fallback(round->requester, round->segment,
-                                 std::move(round->deliver));
-}
-
-void StreamingEngine::post_or_local(std::size_t src, std::size_t dst,
-                                    TimeMs when, std::function<void()> fn) {
-  if (src == dst) {
-    shards_[src]->sim->schedule_at(when, std::move(fn));
-  } else {
-    cluster_->post(src, dst, when, std::move(fn));
-  }
-}
-
 StreamingResult StreamingEngine::assemble() {
   // Segments still in flight at the horizon stay open in their shard's
-  // ledger; the ledgers die with the shards.
-  std::map<NodeId, NodeLedger> ledger;
-  for (const auto& sh : shards_) {
-    for (const auto& [node, led] : sh->ledger) ledger[node] = led;
-  }
+  // ledger; the ledgers die with the shards. Supernode byte ledgers reduce
+  // in NodeId order, which is sn_infos_ order.
+  const bool cached = scenario_.params().use_segment_cache;
+  const auto ledger_of = [this](const SupernodeInfo& info) -> const auto& {
+    return shards_[info.shard]->ledger[cache::to_index(info.slot)];
+  };
 
   Kbit cloud_kbit = 0.0;
   double level_sum = 0.0;
@@ -1187,7 +1130,10 @@ StreamingResult StreamingEngine::assemble() {
     level_sum += ps.level_sum;
     segments += ps.segments;
   }
-  for (const auto& [node, led] : ledger) cloud_kbit += led.window_cloud_kbit;
+  if (cached) {
+    for (const auto& [node, info] : sn_infos_)
+      cloud_kbit += ledger_of(info).window_cloud_kbit;
+  }
   std::uint64_t drops = 0;
   for (const auto& sh : shards_) drops += sh->segments.dropped_packets();
 
@@ -1224,7 +1170,7 @@ StreamingResult StreamingEngine::assemble() {
   result.supernode_supported = sn_served;
   result.edge_supported = edge_served;
 
-  if (scenario_.params().use_segment_cache) {
+  if (cached) {
     cache::CacheTotals totals;
     for (const auto& sh : shards_) {
       const cache::CacheTotals& t = sh->cache->totals();
@@ -1238,7 +1184,8 @@ StreamingResult StreamingEngine::assemble() {
     }
     // Byte totals from the NodeId-ordered ledgers, not the services' own
     // fleet-order accumulators — canonical summation order.
-    for (const auto& [node, led] : ledger) {
+    for (const auto& [node, info] : sn_infos_) {
+      const NodeLedger& led = ledger_of(info);
       totals.bytes_edge_kbit += led.edge_kbit;
       totals.bytes_cloud_kbit += led.cloud_kbit;
       totals.bytes_peer_kbit += led.peer_kbit;

@@ -72,13 +72,15 @@ TEST(SupernodeManagerCache, DepartureReleasesCacheStateAndCancelsJobs) {
 
   // Populate node A's cache and leave a fetch in flight.
   int delivered = 0;
-  service.request(world.sn_a, segment(), [&] { ++delivered; });
-  ASSERT_EQ(service.transcoder().in_flight(world.sn_a), 1u);
+  service.request(service.slot_of(world.sn_a), segment(), [&] { ++delivered; });
+  ASSERT_EQ(service.transcoder().in_flight(
+                cache::to_index(service.slot_of(world.sn_a))), 1u);
 
   mgr.remove_supernode(world.sn_a);
   // No cache entry (nor job) outlives its owning supernode...
   EXPECT_FALSE(service.has_supernode(world.sn_a));
-  EXPECT_EQ(service.transcoder().in_flight(world.sn_a), 0u);
+  EXPECT_EQ(service.transcoder().in_flight(
+                cache::to_index(service.slot_of(world.sn_a))), 0u);
   EXPECT_THROW(service.node_cache(world.sn_a), std::logic_error);
   // ...and the survivor is untouched.
   EXPECT_TRUE(service.has_supernode(world.sn_b));
