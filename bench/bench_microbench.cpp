@@ -9,6 +9,7 @@
 // before benchmark::Initialize sees them.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "sim/simulator.h"
 #include "stream/queued_sender.h"
 #include "stream/video.h"
+#include "systems/scenario.h"
 #include "util/rng.h"
 #include "world/interest.h"
 #include "world/partition.h"
@@ -146,6 +148,37 @@ void BM_RngPareto(benchmark::State& state) {
   benchmark::DoNotOptimize(total);
 }
 BENCHMARK(BM_RngPareto);
+
+// The node-capacity draw as Population makes it: the Pareto scale solved
+// once, then one capped sample per player.
+void BM_CappedParetoDraw(benchmark::State& state) {
+  util::Rng rng(1);
+  const auto capacity = util::CappedPareto::with_mean(5.0, 1.0);
+  double total = 0.0;
+  for (auto _ : state) total += capacity(rng);
+  benchmark::DoNotOptimize(total);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CappedParetoDraw);
+
+// Whole scenario set-up (topology, population, social graph, supernode
+// pick, game join) at the e2e bench's population scaling: fleets and
+// datacenter provisioning grow with the population from the 10k shape.
+void BM_ScenarioBuild(benchmark::State& state) {
+  const auto players = static_cast<std::size_t>(state.range(0));
+  systems::ScenarioParams p = systems::ScenarioParams::simulation_defaults(1);
+  const double f = static_cast<double>(players) / 10'000.0;
+  p.num_players = players;
+  p.num_supernodes = std::max<std::size_t>(30, static_cast<std::size_t>(600.0 * f));
+  p.num_edge_servers = std::max<std::size_t>(5, static_cast<std::size_t>(45.0 * f));
+  p.dc_uplink_kbps *= f;
+  for (auto _ : state) {
+    const systems::Scenario scenario = systems::Scenario::build(p);
+    benchmark::DoNotOptimize(scenario.player_games().data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ScenarioBuild)->Arg(40'000)->Unit(benchmark::kMillisecond);
 
 void BM_LatencyExpectedOneWay(benchmark::State& state) {
   const net::LatencyModel model(net::LatencyParams::simulation_profile(1));

@@ -1,7 +1,6 @@
 #include "game/game.h"
 
-#include <algorithm>
-#include <map>
+#include <array>
 
 #include "util/check.h"
 
@@ -48,24 +47,25 @@ const GameProfile& game_by_id(GameId id) {
   return catalog[static_cast<std::size_t>(id)];
 }
 
-GameId choose_game(const std::vector<GameId>& friend_games, util::Rng& rng,
+GameId choose_game(std::span<const GameId> friend_games, util::Rng& rng,
                    double conformity) {
   CF_CHECK_MSG(conformity >= 0.0 && conformity <= 1.0,
                "conformity must be a probability");
-  std::map<GameId, int> votes;
+  std::array<int, kNumGames> votes{};
+  bool voted = false;
   for (GameId g : friend_games) {
-    if (g >= 0) ++votes[g];
+    if (g < 0) continue;
+    CF_CHECK_MSG(g < kNumGames, "unknown game id");
+    ++votes[static_cast<std::size_t>(g)];
+    voted = true;
   }
-  if (votes.empty() || !rng.bernoulli(conformity)) {
-    return static_cast<GameId>(
-        rng.uniform_int(0, static_cast<std::int64_t>(game_catalog().size()) - 1));
+  if (!voted || !rng.bernoulli(conformity)) {
+    return static_cast<GameId>(rng.uniform_int(0, kNumGames - 1));
   }
-  GameId best = votes.begin()->first;
-  int best_count = votes.begin()->second;
-  for (const auto& [g, count] : votes) {
-    if (count > best_count) {
+  GameId best = 0;
+  for (GameId g = 1; g < kNumGames; ++g) {
+    if (votes[static_cast<std::size_t>(g)] > votes[static_cast<std::size_t>(best)]) {
       best = g;
-      best_count = count;
     }
   }
   return best;

@@ -8,6 +8,7 @@
 // example; we assign one per genre on the same scale).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,9 @@
 namespace cloudfog::game {
 
 using GameId = int;
+
+/// Catalog size: one game per Figure-2 quality row.
+inline constexpr int kNumGames = kNumQualityLevels;
 
 /// Static description of one game.
 struct GameProfile {
@@ -44,8 +48,10 @@ const GameProfile& game_by_id(GameId id);
 /// game most played among its online friends (the paper's Section-IV join
 /// rule), otherwise — or when no friend is playing — a uniform random
 /// catalog game. The sub-unit conformity keeps the population from
-/// cascading onto a single title while preserving friend clustering.
-GameId choose_game(const std::vector<GameId>& friend_games, util::Rng& rng,
+/// cascading onto a single title while preserving friend clustering. A tie
+/// goes to the lowest GameId; negative entries (offline friends) are
+/// skipped. Allocates nothing.
+GameId choose_game(std::span<const GameId> friend_games, util::Rng& rng,
                    double conformity = 0.5);
 
 /// Poisson action generator: models a player issuing latency-relevant

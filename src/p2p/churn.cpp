@@ -91,13 +91,13 @@ void ChurnProcess::on_arrival_tick() {
 }
 
 game::GameId ChurnProcess::pick_game(std::size_t player) {
-  std::vector<game::GameId> friend_games;
+  friend_games_.clear();
   if (graph_ != nullptr) {
-    for (std::size_t f : graph_->friends(player)) {
-      if (online_[f]) friend_games.push_back(game_[f]);
+    for (std::uint32_t f : graph_->friends(player)) {
+      if (online_[f]) friend_games_.push_back(game_[f]);
     }
   }
-  return game::choose_game(friend_games, rng_);
+  return game::choose_game(friend_games_, rng_);
 }
 
 void ChurnProcess::join(std::size_t player, TimeMs session_ms) {

@@ -76,6 +76,7 @@ class ChurnProcess {
   std::vector<game::GameId> game_;
   std::vector<std::size_t> eligible_;    // offline and allowed to rejoin
   std::vector<std::size_t> eligible_pos_;  // player -> index in eligible_, or npos
+  std::vector<game::GameId> friend_games_;  // pick_game's reused buffer
   std::size_t online_count_ = 0;
   std::uint64_t total_joins_ = 0;
   std::uint64_t total_leaves_ = 0;

@@ -1,5 +1,7 @@
 #include "p2p/population.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace cloudfog::p2p {
@@ -11,11 +13,13 @@ Population::Population(std::vector<NodeId> player_hosts,
                "supernode fraction must be in [0, 1]");
   CF_CHECK_MSG(config.short_fraction + config.medium_fraction <= 1.0,
                "play-time class fractions exceed 1");
+  const auto capacity = util::CappedPareto::with_mean(config.capacity_mean,
+                                                     config.capacity_alpha);
   players_.reserve(player_hosts.size());
   for (NodeId host : player_hosts) {
     PlayerProfile p;
     p.host = host;
-    p.capacity = rng.pareto_with_mean(config.capacity_mean, config.capacity_alpha);
+    p.capacity = capacity(rng);
     p.supernode_capable = rng.bernoulli(config.supernode_capable_fraction);
     const double u = rng.uniform();
     if (u < config.short_fraction) {

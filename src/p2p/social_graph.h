@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -20,13 +22,15 @@ struct SocialGraphConfig {
   std::size_t max_friends = 50;
 };
 
-/// Undirected friendship graph over `n` players (indices 0..n-1).
+/// Undirected friendship graph over `n` players (indices 0..n-1, n < 2^32),
+/// stored as compressed sparse rows: two flat arrays, no per-player vector.
 class SocialGraph {
  public:
   SocialGraph(std::size_t n, const SocialGraphConfig& config, util::Rng& rng);
 
-  std::size_t size() const { return adjacency_.size(); }
-  const std::vector<std::size_t>& friends(std::size_t player) const;
+  std::size_t size() const { return offsets_.size() - 1; }
+  /// `player`'s friends in ascending order.
+  std::span<const std::uint32_t> friends(std::size_t player) const;
   std::size_t degree(std::size_t player) const { return friends(player).size(); }
 
   bool are_friends(std::size_t a, std::size_t b) const;
@@ -35,7 +39,9 @@ class SocialGraph {
   double mean_degree() const;
 
  private:
-  std::vector<std::vector<std::size_t>> adjacency_;
+  // Player i's friends are edges_[offsets_[i], offsets_[i + 1]).
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> edges_;
 };
 
 }  // namespace cloudfog::p2p

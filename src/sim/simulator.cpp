@@ -56,6 +56,11 @@ EventId Simulator::push(TimeMs when, Callback fn, TimeMs period) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
     nodes_.emplace_back();
+    // Every slot can come back through release_slot, so the free list must
+    // hold them all: grow it with the slab, never on a release.
+    if (free_slots_.capacity() < nodes_.capacity()) {
+      free_slots_.reserve(nodes_.capacity());
+    }
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);  // s.fn is empty (cleared on release)

@@ -116,12 +116,13 @@ Scenario Scenario::build(const ScenarioParams& params) {
   const std::size_t n = scenario.population_.size();
   auto& games = scenario.player_games_;
   games.assign(n, -1);
-  std::vector<std::size_t> join_order(n);
-  for (std::size_t i = 0; i < n; ++i) join_order[i] = i;
+  std::vector<std::uint32_t> join_order(n);
+  for (std::size_t i = 0; i < n; ++i) join_order[i] = static_cast<std::uint32_t>(i);
   game_rng.shuffle(join_order);
-  for (std::size_t i : join_order) {
-    std::vector<game::GameId> friend_games;
-    for (std::size_t f : scenario.social_.friends(i)) {
+  std::vector<game::GameId> friend_games;  // one buffer for every join
+  for (std::uint32_t i : join_order) {
+    friend_games.clear();
+    for (std::uint32_t f : scenario.social_.friends(i)) {
       if (games[f] >= 0) friend_games.push_back(games[f]);
     }
     games[i] = game::choose_game(friend_games, game_rng);

@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -66,15 +67,19 @@ double Rng::uniform(double lo, double hi) {
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   CF_CHECK_MSG(lo <= hi, "uniform_int requires lo <= hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: spans beyond 2^63 must wrap, not overflow.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (span == 0) return static_cast<std::int64_t>((*this)());  // full range
-  // Lemire-style rejection to remove modulo bias.
-  const std::uint64_t threshold = (~span + 1) % span;
-  std::uint64_t r;
-  do {
-    r = (*this)();
-  } while (r < threshold);
-  return lo + static_cast<std::int64_t>(r % span);
+  // Rejection below 2^64 mod span removes the modulo bias. That threshold is
+  // below span, so a draw >= span is always accepted and the division that
+  // computes it is only paid for the rare draw below span.
+  std::uint64_t r = (*this)();
+  if (r < span) {
+    const std::uint64_t threshold = (~span + 1) % span;
+    while (r < threshold) r = (*this)();
+  }
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r % span);
 }
 
 bool Rng::bernoulli(double p) {
@@ -132,6 +137,11 @@ double Rng::pareto(double xm, double alpha) {
 }
 
 double Rng::pareto_with_mean(double mean, double alpha, double cap_multiple) {
+  return CappedPareto::with_mean(mean, alpha, cap_multiple)(*this);
+}
+
+CappedPareto CappedPareto::with_mean(double mean, double alpha,
+                                     double cap_multiple) {
   CF_CHECK_MSG(mean > 0.0 && cap_multiple > 1.0, "pareto_with_mean parameters");
   const double cap = cap_multiple * mean;
   double xm;
@@ -159,7 +169,11 @@ double Rng::pareto_with_mean(double mean, double alpha, double cap_multiple) {
     }
     xm = 0.5 * (lo + hi);
   }
-  return std::min(pareto(xm, alpha), cap);
+  return CappedPareto{xm, alpha, cap};
+}
+
+double CappedPareto::operator()(Rng& rng) const {
+  return std::min(rng.pareto(xm, alpha), cap);
 }
 
 std::uint64_t Rng::zipf(std::uint64_t n, double s) {

@@ -68,9 +68,9 @@ class Rng {
   /// P(X > x) = (xm/x)^alpha for x >= xm. Requires alpha > 0, xm > 0.
   double pareto(double xm, double alpha);
 
-  /// Pareto sample with the requested *mean* and shape alpha. For alpha <= 1
-  /// the theoretical mean diverges, so the sample is truncated at
-  /// `cap_multiple * mean` and xm is chosen so the truncated mean matches.
+  /// Pareto sample with the requested *mean* and shape alpha: one draw of
+  /// CappedPareto::with_mean(mean, alpha, cap_multiple). A caller drawing
+  /// many samples builds the CappedPareto once instead.
   double pareto_with_mean(double mean, double alpha, double cap_multiple = 20.0);
 
   /// Zipf-like integer in [1, n] with exponent s (rejection-inversion).
@@ -102,6 +102,24 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> state_{};
+};
+
+/// Pareto(xm, alpha) truncated at `cap`. Solving xm for a requested mean
+/// takes a 60-step bisection when alpha <= 1, so it is done once per
+/// distribution here and each draw is one Rng::pareto call.
+struct CappedPareto {
+  double xm = 1.0;
+  double alpha = 1.0;
+  double cap = 20.0;
+
+  /// The sampler with mean `mean`. For alpha <= 1 the theoretical mean
+  /// diverges, so the sample is truncated at `cap_multiple * mean` and xm is
+  /// chosen so the truncated mean matches.
+  static CappedPareto with_mean(double mean, double alpha,
+                                double cap_multiple = 20.0);
+
+  /// min(rng.pareto(xm, alpha), cap).
+  double operator()(Rng& rng) const;
 };
 
 }  // namespace cloudfog::util

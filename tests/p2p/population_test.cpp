@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace cloudfog::p2p {
@@ -125,6 +127,47 @@ TEST(Population, InvalidConfigRejected) {
   config2.short_fraction = 0.8;
   config2.medium_fraction = 0.4;
   EXPECT_THROW(Population(make_hosts(10), config2, rng), std::logic_error);
+}
+
+// FNV-1a-style fold of one 64-bit word into a running hash.
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ull;
+}
+
+/// Hash of every profile field and of the generator's next draw.
+std::uint64_t population_pin(const PopulationConfig& config, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const Population pop(make_hosts(2'000), config, rng);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& p : pop.players()) {
+    h = fold(h, std::bit_cast<std::uint64_t>(p.capacity));
+    h = fold(h, p.supernode_capable ? 1u : 0u);
+    h = fold(h, static_cast<std::uint64_t>(p.play_class));
+    h = fold(h, std::bit_cast<std::uint64_t>(p.daily_play_hours));
+  }
+  return fold(h, rng());
+}
+
+// Pinned profile hashes for the paper's alpha = 1 capacities and for both
+// other branches of the Pareto scale solve (alpha > 1 closed form, alpha < 1
+// bisection): a faster sampler must draw bit-identical capacities.
+TEST(Population, ProfilesMatchPinnedHashes) {
+  struct Pin {
+    double alpha;
+    std::uint64_t seed, hash;
+  };
+  const Pin pins[] = {
+      {1.0, 41, 0x5f2b3cac3590bb0aull},
+      {1.5, 42, 0xf8cac7b3eba15a51ull},
+      {0.8, 43, 0x3dbdd8d44322477full},
+  };
+  for (const Pin& p : pins) {
+    PopulationConfig config;
+    config.capacity_alpha = p.alpha;
+    EXPECT_EQ(population_pin(config, p.seed), p.hash)
+        << "alpha=" << p.alpha << " actual=0x" << std::hex
+        << population_pin(config, p.seed);
+  }
 }
 
 }  // namespace

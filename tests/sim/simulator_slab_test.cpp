@@ -194,6 +194,24 @@ TEST(SimulatorSlabTest, SteadyStateSchedulesAndFiresWithoutAllocating) {
   EXPECT_EQ(ticks, 10256u);
 }
 
+TEST(SimulatorSlabTest, FirstOneShotReleaseAfterSetupDoesNotAllocate) {
+  // Set-up hands out slots straight from the slab, so none has passed
+  // through the free list yet. The first one-shot that fires mid-run then
+  // puts its slot there, which must not allocate.
+  Simulator sim;
+  std::uint64_t ticks = 0;
+  for (int i = 0; i < 1000; ++i) {
+    sim.schedule_every(1000.0 + i, 1000.0, [&ticks] { ++ticks; });
+  }
+  sim.schedule_at(5.0, [&ticks] { ++ticks; });
+
+  const std::uint64_t before = g_alloc_count;
+  sim.run_until(10.0);
+  EXPECT_EQ(g_alloc_count - before, 0u)
+      << "releasing the first one-shot slot after set-up allocated";
+  EXPECT_EQ(ticks, 1u);
+}
+
 TEST(SimulatorSlabTest, SteadyStateCancelChurnWithoutAllocating) {
   Simulator sim;
   std::uint64_t ticks = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 namespace cloudfog::systems {
@@ -133,6 +134,34 @@ TEST(Scenario, RejectsDegenerateParams) {
   ScenarioParams p = small_params();
   p.num_players = 0;
   EXPECT_THROW(Scenario::build(p), std::logic_error);
+}
+
+// FNV-1a-style fold of one 64-bit word into a running hash.
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ull;
+}
+
+/// Hash of every player's game, the supernode set and the friend lists.
+std::uint64_t scenario_pin(const ScenarioParams& params) {
+  const Scenario s = Scenario::build(params);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (auto g : s.player_games()) h = fold(h, static_cast<std::uint64_t>(g));
+  for (std::size_t sn : s.supernode_players()) h = fold(h, sn);
+  for (std::size_t i = 0; i < s.social().size(); ++i) {
+    for (auto f : s.social().friends(i)) h = fold(h, f);
+  }
+  return h;
+}
+
+// Pinned set-up outputs for both profiles: storage or sampler rewrites in
+// Scenario::build must reproduce every game, supernode and friendship.
+TEST(Scenario, BuildMatchesPinnedHashes) {
+  EXPECT_EQ(scenario_pin(small_params(1)), 0xa11af755ef286b24ull)
+      << std::hex << scenario_pin(small_params(1));
+  ScenarioParams pl = ScenarioParams::planetlab_defaults(3);
+  pl.num_players = 300;
+  pl.num_supernodes = 50;
+  EXPECT_EQ(scenario_pin(pl), 0xa3c556a92f1c6399ull) << std::hex << scenario_pin(pl);
 }
 
 }  // namespace

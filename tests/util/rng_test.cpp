@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -94,6 +96,52 @@ TEST(Rng, UniformIntNegativeRange) {
     const auto v = rng.uniform_int(-5, -1);
     EXPECT_GE(v, -5);
     EXPECT_LE(v, -1);
+  }
+}
+
+/// The rejection loop uniform_int used before it skipped the threshold
+/// division for draws >= span, kept verbatim as the oracle (only the span
+/// and the result are formed in unsigned arithmetic, which wraps where the
+/// signed form overflowed for spans beyond 2^63).
+std::int64_t reference_uniform_int(Rng& rng, std::int64_t lo, std::int64_t hi) {
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  if (span == 0) return static_cast<std::int64_t>(rng());  // full range
+  const std::uint64_t threshold = (~span + 1) % span;
+  std::uint64_t r;
+  do {
+    r = rng();
+  } while (r < threshold);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r % span);
+}
+
+TEST(Rng, UniformIntMatchesReferenceRejectionLoop) {
+  // Spans chosen to hit every branch: the trivial span 1, small spans, the
+  // social graph's stub counts, spans just past 2^32, 2^63 (threshold 0)
+  // and 2^64 - 1 (threshold 1, so draws below span are common).
+  std::vector<std::uint64_t> spans = {1,           2,
+                                      3,           5,
+                                      40'000,      765'556,
+                                      (1ull << 32) + 1, 1ull << 63,
+                                      ~std::uint64_t{0}};
+  Rng span_rng(99);
+  for (int i = 0; i < 16; ++i) spans.push_back(span_rng() >> (span_rng() % 64));
+  for (std::uint64_t& span : spans) span = std::max<std::uint64_t>(span, 1);
+
+  constexpr int kDraws = 1'000'000;
+  const int per_span = kDraws / static_cast<int>(spans.size());
+  Rng fast(7), reference(7);
+  for (std::uint64_t span : spans) {
+    // [lo, lo + span - 1] with lo chosen so the bound stays representable.
+    const std::int64_t lo =
+        span > (1ull << 62) ? std::numeric_limits<std::int64_t>::min() : -3;
+    const std::int64_t hi = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(lo) + (span - 1));
+    for (int i = 0; i < per_span; ++i) {
+      ASSERT_EQ(fast.uniform_int(lo, hi), reference_uniform_int(reference, lo, hi))
+          << "span " << span << " draw " << i;
+    }
+    ASSERT_EQ(fast(), reference()) << "generator state diverged at span " << span;
   }
 }
 
