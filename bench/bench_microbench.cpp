@@ -24,6 +24,7 @@
 #include "sim/simulator.h"
 #include "stream/queued_sender.h"
 #include "stream/video.h"
+#include "systems/coop_probes.h"
 #include "systems/scenario.h"
 #include "util/rng.h"
 #include "world/interest.h"
@@ -179,6 +180,36 @@ void BM_ScenarioBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ScenarioBuild)->Arg(40'000)->Unit(benchmark::kMillisecond);
+
+// The cooperative lookups' rank order (three neighbours each) over every
+// supernode of a scenario at the e2e population scaling: 2,400 supernodes
+// at 40k players, 12,000 at 200k. The scenario is built outside the loop.
+void BM_CoopNeighborRanking(benchmark::State& state) {
+  const auto supernode_count = static_cast<std::size_t>(state.range(0));
+  const std::size_t players = supernode_count * 10'000 / 600;
+  systems::ScenarioParams p = systems::ScenarioParams::simulation_defaults(1);
+  const double f = static_cast<double>(players) / 10'000.0;
+  p.num_players = players;
+  p.num_supernodes = supernode_count;
+  p.num_edge_servers = std::max<std::size_t>(5, static_cast<std::size_t>(45.0 * f));
+  p.dc_uplink_kbps *= f;
+  const systems::Scenario scenario = systems::Scenario::build(p);
+  std::vector<NodeId> supernodes;
+  for (const std::size_t sn : scenario.supernode_players())
+    supernodes.push_back(scenario.player_host(sn));
+  std::sort(supernodes.begin(), supernodes.end());
+  for (auto _ : state) {
+    const auto rows =
+        systems::rank_coop_neighbors(scenario.topology(), supernodes, 3);
+    benchmark::DoNotOptimize(rows.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(supernodes.size()));
+}
+BENCHMARK(BM_CoopNeighborRanking)
+    ->Arg(2'400)
+    ->Arg(12'000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LatencyExpectedOneWay(benchmark::State& state) {
   const net::LatencyModel model(net::LatencyParams::simulation_profile(1));

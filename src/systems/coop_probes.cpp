@@ -1,10 +1,57 @@
 #include "systems/coop_probes.h"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "util/check.h"
 
 namespace cloudfog::systems {
+
+std::vector<std::vector<std::pair<TimeMs, NodeId>>> rank_coop_neighbors(
+    const net::Topology& topology, std::span<const NodeId> supernodes,
+    std::size_t m) {
+  CF_CHECK_MSG(std::adjacent_find(supernodes.begin(), supernodes.end(),
+                                  std::greater_equal<>()) == supernodes.end(),
+               "supernodes must be in strictly ascending NodeId order");
+  using Ranked = std::pair<TimeMs, NodeId>;
+  const std::size_t n = supernodes.size();
+  const std::size_t width = n == 0 ? 0 : std::min(m, n - 1);
+  // A modelled latency is fl(fl(route·bias + server_last_mile(a)) +
+  // last_mile(b)) with route·bias >= 0, and rounding is monotone, so it is
+  // never below fl(server_last_mile(a) + last_mile(b)): with peers in
+  // ascending last-mile order, a row is complete at the first peer whose
+  // bound exceeds its m-th best. An equal bound may still win on NodeId. A
+  // trace ignores last miles, so every key is 0 and each row runs to the
+  // end.
+  const bool traced = topology.has_trace();
+  std::vector<Ranked> by_last_mile;
+  by_last_mile.reserve(n);
+  for (const NodeId b : supernodes)
+    by_last_mile.emplace_back(traced ? 0.0 : topology.host(b).last_mile_ms, b);
+  std::sort(by_last_mile.begin(), by_last_mile.end());
+
+  std::vector<std::vector<Ranked>> rows(n);
+  if (width == 0) return rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId a = supernodes[i];
+    const TimeMs own = traced ? 0.0 : topology.host(a).server_last_mile_ms;
+    std::vector<Ranked>& best = rows[i];  // sorted, at most `width`
+    best.reserve(width);
+    for (const auto& [key, b] : by_last_mile) {
+      if (best.size() == width && own + key > best.back().first) break;
+      if (b == a) continue;
+      const Ranked candidate{topology.expected_server_one_way_ms(a, b), b};
+      if (best.size() == width) {
+        if (!(candidate < best.back())) continue;
+        best.pop_back();
+      }
+      best.insert(std::upper_bound(best.begin(), best.end(), candidate),
+                  candidate);
+    }
+  }
+  return rows;
+}
 
 CoopProbes::CoopProbes(std::size_t shard_count, Kbps coop_kbps)
     : coop_kbps_(coop_kbps), shards_(shard_count) {}

@@ -20,13 +20,19 @@
 // callbacks, and a round's response table keeps its capacity when the round
 // is reused. A round's slot is recycled only when its *last* response is
 // back, not when it resolves: ranks after the winner still answer into it.
+//
+// The rank order itself comes from rank_coop_neighbors, once per run at
+// set-up.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "cache/edge_cache_service.h"
+#include "net/topology.h"
 #include "shard/cluster.h"
 #include "sim/simulator.h"
 #include "stream/video.h"
@@ -41,6 +47,16 @@ struct CoopNeighbor {
   std::uint32_t shard = 0;
   TimeMs latency_ms = 0.0;  // expected one-way, each direction
 };
+
+/// Each supernode's probe rank order, before slots and shards are known:
+/// row i holds the min(m, N - 1) other supernodes nearest to
+/// `supernodes[i]` by (expected_server_one_way_ms(supernodes[i], b), b),
+/// ascending; N rows in all. `supernodes` must be in strictly ascending
+/// NodeId order. Bit-identical to ranking every pair, but a row stops at
+/// the first peer whose last-mile bound already loses (DESIGN.md §13).
+std::vector<std::vector<std::pair<TimeMs, NodeId>>> rank_coop_neighbors(
+    const net::Topology& topology, std::span<const NodeId> supernodes,
+    std::size_t m);
 
 class CoopProbes {
  public:

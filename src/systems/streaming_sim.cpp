@@ -551,25 +551,11 @@ void StreamingEngine::setup_coop() {
   // in sn_infos_ order.
   std::vector<std::vector<std::pair<TimeMs, NodeId>>> nearest;
   if (params.use_segment_cache && params.cache_coop_neighbors > 0) {
-    nearest.reserve(sn_infos_.size());
-    std::vector<std::pair<TimeMs, NodeId>> ranked;
-    for (const auto& [a, info_a] : sn_infos_) {
-      ranked.clear();
-      ranked.reserve(sn_infos_.size() - 1);
-      for (const auto& [b, info_b] : sn_infos_) {
-        if (b == a) continue;
-        ranked.emplace_back(
-            scenario_.topology().expected_server_one_way_ms(a, b), b);
-      }
-      // (latency, NodeId) pairs are totally ordered, so selecting the m
-      // best and sorting only those yields the full sort's first m.
-      const std::size_t m =
-          std::min(params.cache_coop_neighbors, ranked.size());
-      const auto mth = ranked.begin() + static_cast<std::ptrdiff_t>(m);
-      std::nth_element(ranked.begin(), mth, ranked.end());
-      std::sort(ranked.begin(), mth);
-      nearest.emplace_back(ranked.begin(), mth);
-    }
+    std::vector<NodeId> supernodes;
+    supernodes.reserve(sn_infos_.size());
+    for (const auto& [server, info] : sn_infos_) supernodes.push_back(server);
+    nearest = rank_coop_neighbors(scenario_.topology(), supernodes,
+                                  params.cache_coop_neighbors);
   }
 
   // Lookahead: the minimum latency any cross-shard message can carry. The

@@ -164,6 +164,52 @@ TEST(CacheStreamingTest, CoopLookupsRunAtDefaultShardCount) {
   EXPECT_GT(r.cache.coop_probes, 0u);
 }
 
+// Pinned digests of the two coop edge cases below, equal at K = 1 and 4.
+constexpr std::uint64_t kLoneSupernodeDigest = 0xbc4ba27a7631c443ull;
+constexpr std::uint64_t kCoopBeyondFleetDigest = 0x3d47e702df0c2cbcull;
+
+// A lone active supernode has no peer to probe: coop on must run as coop
+// off, on one shard with no cross-shard edge and so one window, at any
+// requested shard count.
+TEST(CacheStreamingTest, CoopWithOneActiveSupernodeProbesNothing) {
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "shards " << shards);
+    ScenarioParams p = cache_params(1'000.0);
+    p.num_supernodes = 1;
+    p.sim_shards = shards;
+    p.cache_coop_neighbors = 3;
+    const auto coop = run_streaming(SystemKind::kCloudFogAdapt,
+                                    Scenario::build(p), quick_options());
+    p.cache_coop_neighbors = 0;
+    const auto alone = run_streaming(SystemKind::kCloudFogAdapt,
+                                     Scenario::build(p), quick_options());
+    EXPECT_GT(coop.supernode_supported, 0u);
+    EXPECT_EQ(coop.cache.coop_probes, 0u);
+    EXPECT_EQ(coop.cache.coop_hits, 0u);
+    EXPECT_EQ(qoe_digest(coop), qoe_digest(alone));
+    EXPECT_EQ(qoe_digest(coop), kLoneSupernodeDigest);
+  }
+}
+
+// More cooperative neighbours than peers: every row holds every other
+// active supernode (at most 39 of them here), as with exactly 40.
+TEST(CacheStreamingTest, CoopNeighborsBeyondTheFleetRankEveryPeer) {
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "shards " << shards);
+    ScenarioParams p = cache_params(1'000.0);
+    p.sim_shards = shards;
+    p.cache_coop_neighbors = 1'000;
+    const auto beyond = run_streaming(SystemKind::kCloudFogAdapt,
+                                      Scenario::build(p), quick_options());
+    p.cache_coop_neighbors = 40;
+    const auto every = run_streaming(SystemKind::kCloudFogAdapt,
+                                     Scenario::build(p), quick_options());
+    EXPECT_GT(beyond.cache.coop_probes, 0u);
+    EXPECT_EQ(qoe_digest(beyond), qoe_digest(every));
+    EXPECT_EQ(qoe_digest(beyond), kCoopBeyondFleetDigest);
+  }
+}
+
 TEST(CacheStreamingTest, CacheOffReportsZeroCacheActivity) {
   ScenarioParams p = cache_params(1'000.0);
   p.use_segment_cache = false;

@@ -1,22 +1,32 @@
-// The cooperative probe protocol's round pool (systems/coop_probes.h): a
-// round's slot is recycled only after its last response, so responses of
-// ranks after the winner, a requester that leaves while its probes fly and
-// back-to-back rounds all see their own round. The pool's size is its
-// high-water mark and must equal the peak number of rounds in flight.
+// The cooperative probe protocol (systems/coop_probes.h).
+//
+// Round pool: a round's slot is recycled only after its last response, so
+// responses of ranks after the winner, a requester that leaves while its
+// probes fly and back-to-back rounds all see their own round. The pool's
+// size is its high-water mark and must equal the peak number of rounds in
+// flight.
+//
+// Rank order: rank_coop_neighbors must return exactly the rows of the
+// all-pairs scan it replaced, kept below as the oracle, while evaluating
+// only a fraction of the pairs.
 #include "systems/coop_probes.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "cache/edge_cache_service.h"
+#include "net/trace.h"
+#include "obs/metrics.h"
 #include "shard/cluster.h"
 #include "sim/simulator.h"
 #include "stream/video.h"
+#include "systems/scenario.h"
 
 namespace cloudfog::systems {
 namespace {
@@ -209,6 +219,152 @@ TEST(CoopProbeRounds, PoolHighWaterIsThePeakInFlightAcrossShards) {
   EXPECT_EQ(w.probes.round_pool_size(0), peak_overlap(starts, 14.0));
   EXPECT_GE(w.probes.round_pool_size(0), 3u);
   EXPECT_EQ(w.probes.round_pool_size(1), 0u);  // shard 1 never asked
+}
+
+using Rows = std::vector<std::vector<std::pair<TimeMs, NodeId>>>;
+
+/// The all-pairs scan the streaming engine's set-up ran before
+/// rank_coop_neighbors, verbatim but for its inputs: every ordered pair
+/// evaluated, the m best selected and sorted.
+Rows all_pairs_scan(const net::Topology& topology,
+                    const std::vector<NodeId>& supernodes,
+                    std::size_t coop_neighbors) {
+  Rows nearest;
+  nearest.reserve(supernodes.size());
+  std::vector<std::pair<TimeMs, NodeId>> ranked;
+  for (const NodeId a : supernodes) {
+    ranked.clear();
+    ranked.reserve(supernodes.size() - 1);
+    for (const NodeId b : supernodes) {
+      if (b == a) continue;
+      ranked.emplace_back(topology.expected_server_one_way_ms(a, b), b);
+    }
+    // (latency, NodeId) pairs are totally ordered, so selecting the m
+    // best and sorting only those yields the full sort's first m.
+    const std::size_t m = std::min(coop_neighbors, ranked.size());
+    const auto mth = ranked.begin() + static_cast<std::ptrdiff_t>(m);
+    std::nth_element(ranked.begin(), mth, ranked.end());
+    std::sort(ranked.begin(), mth);
+    nearest.emplace_back(ranked.begin(), mth);
+  }
+  return nearest;
+}
+
+/// `n` player hosts of `topology`, evenly spaced over all of them, in
+/// ascending NodeId order.
+std::vector<NodeId> spread_players(const net::Topology& topology,
+                                   std::size_t n) {
+  const std::vector<NodeId> players =
+      topology.hosts_with_role(net::HostRole::kPlayer);
+  std::vector<NodeId> out;
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(players[i * players.size() / n]);
+  return out;
+}
+
+/// Every m the differential cases use for `n` supernodes: 1, 3, n - 1 and
+/// n + 2 (so 0 for one supernode and more than there are peers).
+std::vector<std::size_t> widths_for(std::size_t n) {
+  std::vector<std::size_t> widths{1, 3, n + 2};
+  if (n > 0) widths.push_back(n - 1);
+  return widths;
+}
+
+void expect_matches_scan(const net::Topology& topology,
+                         const std::vector<NodeId>& supernodes) {
+  for (const std::size_t m : widths_for(supernodes.size())) {
+    SCOPED_TRACE(::testing::Message() << "N = " << supernodes.size()
+                                      << ", m = " << m);
+    const Rows got = rank_coop_neighbors(topology, supernodes, m);
+    const Rows want = all_pairs_scan(topology, supernodes, m);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(got[i], want[i]) << "row of supernode " << supernodes[i];
+  }
+}
+
+TEST(CoopNeighborRanking, MatchesAllPairsScan) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const Scenario simulation =
+        Scenario::build(ScenarioParams::simulation_defaults(seed));
+    const Scenario planetlab =
+        Scenario::build(ScenarioParams::planetlab_defaults(seed));
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 60u, 600u}) {
+      {
+        SCOPED_TRACE("simulation");
+        expect_matches_scan(simulation.topology(),
+                            spread_players(simulation.topology(), n));
+      }
+      {
+        SCOPED_TRACE("PlanetLab");
+        expect_matches_scan(planetlab.topology(),
+                            spread_players(planetlab.topology(), n));
+      }
+    }
+  }
+}
+
+TEST(CoopNeighborRanking, MatchesAllPairsScanOnBoundTies) {
+  // No route floor: a coincident pair's latency is exactly its last-mile
+  // bound. Last miles repeat exactly, or differ by one ulp that the sum
+  // with the server side rounds away, so equal bounds arise from unequal
+  // keys: NodeId 0 sorts after NodeIds 1 and 2 by key but ties them on
+  // latency and must still win. Every fifth host sits elsewhere.
+  net::LatencyParams params = net::LatencyParams::simulation_profile(3);
+  params.hops_base = 0.0;
+  net::Topology topology{net::LatencyModel{params}};
+  const net::GeoPoint new_york{40.7, -74.0};
+  const net::GeoPoint chicago{41.9, -87.6};
+  const TimeMs one_ulp_up = std::nextafter(1.0, 2.0);
+  for (int i = 0; i < 30; ++i) {
+    const TimeMs last_mile = i % 3 == 0 ? one_ulp_up : 1.0;
+    const TimeMs server_last_mile = i % 2 == 0 ? 3.0 : 1.0;
+    topology.add_host(net::HostRole::kPlayer, i % 5 == 4 ? chicago : new_york,
+                      last_mile, {}, server_last_mile);
+  }
+  std::vector<NodeId> all(30);
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<NodeId>(i);
+  expect_matches_scan(topology, all);
+}
+
+TEST(CoopNeighborRanking, MatchesAllPairsScanWithATrace) {
+  // A trace ignores last miles: one constant latency over the first 400
+  // hosts makes every traced pair tie, decided by NodeId alone, while the
+  // pairs beyond the trace keep the model.
+  net::LatencyTrace trace(400);
+  for (NodeId a = 0; a < 400; ++a) {
+    for (NodeId b = a + 1; b < 400; ++b) trace.set_one_way_ms(a, b, 1.5);
+  }
+  net::Topology topology = net::build_planetlab_topology(750, 4);
+  topology.attach_trace(&trace);
+  for (const std::size_t n : {3u, 60u, 600u})
+    expect_matches_scan(topology, spread_players(topology, n));
+}
+
+TEST(CoopNeighborRanking, EvaluatesAFractionOfThePairs) {
+  // Guards against a silent return to the full scan.
+  const Scenario scenario =
+      Scenario::build(ScenarioParams::simulation_defaults(1));
+  std::vector<NodeId> supernodes;
+  for (const std::size_t p : scenario.supernode_players())
+    supernodes.push_back(scenario.player_host(p));
+  std::sort(supernodes.begin(), supernodes.end());
+  ASSERT_EQ(supernodes.size(), 600u);
+
+  obs::MetricsRegistry registry;
+  Rows rows;
+  {
+    obs::ScopedRegistry install(registry);
+    rows = rank_coop_neighbors(scenario.topology(), supernodes, 3);
+  }
+  const obs::Counter* pairs = registry.find_counter("net.latency.pair_queries");
+  ASSERT_NE(pairs, nullptr);
+  const double all_pairs = 600.0 * 599.0;
+  EXPECT_GT(pairs->value(), 0u);
+  EXPECT_LE(static_cast<double>(pairs->value()), 0.30 * all_pairs)
+      << pairs->value() << " of " << all_pairs << " pairs evaluated";
+  EXPECT_EQ(rows, all_pairs_scan(scenario.topology(), supernodes, 3));
 }
 
 }  // namespace
